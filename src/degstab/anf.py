@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from . import f2
-from .bits import mask_to_vars, parity_table, popcount_table, vars_to_mask
+from .bits import mask_to_vars, parity_table, popcount_table
 from .errors import (
     AnfSyntaxError,
     DependentDirectionsError,
@@ -37,13 +37,20 @@ Degree = Union[int, float]
 
 
 def mobius_inplace(bits: np.ndarray) -> np.ndarray:
-    """Binary Moebius transform of a length-2**n uint8 array, in place.
+    """Binary Moebius transform along the last axis (length 2**n), in place.
 
-    Maps ANF coefficients to the truth table and back; it is an involution.
+    Leading axes are independent rows. Maps ANF coefficients to the truth
+    table and back; it is an involution. The array must be C-contiguous,
+    since reshaping anything else copies and the transform would be lost.
     """
-    n = bits.size.bit_length() - 1
-    assert bits.size == 1 << n
-    for i in range(n):
+    size = bits.shape[-1]
+    if size == 0 or size & (size - 1):
+        raise InvalidLengthError(f"last axis must have length 2**n, got {size}")
+    if not bits.flags.c_contiguous:
+        raise ValueError("mobius_inplace needs a C-contiguous array")
+    # each row's length is a multiple of every block 2**(i+1), so the rows
+    # can share one flat reshape
+    for i in range(size.bit_length() - 1):
         v = bits.reshape(-1, 2, 1 << i)
         v[:, 1, :] ^= v[:, 0, :]
     return bits

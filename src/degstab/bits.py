@@ -8,6 +8,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import InvalidLengthError
+
+# A truth table on n variables takes 2**n bytes; 2**24 is 16 MiB per table.
+MAX_TABLE_VARS = 24
+
 
 def popcount(x: int) -> int:
     return x.bit_count()
@@ -20,7 +25,10 @@ def parity(x: int) -> int:
 @lru_cache(maxsize=None)
 def popcount_table(n: int) -> np.ndarray:
     """uint8 array of length 2**n with the popcount of every index."""
-    assert 0 <= n <= 24
+    if not 0 <= n <= MAX_TABLE_VARS:
+        raise InvalidLengthError(
+            f"truth tables are limited to {MAX_TABLE_VARS} variables, got n={n}"
+        )
     idx = np.arange(1 << n, dtype=np.uint32)
     return np.bitwise_count(idx).astype(np.uint8)
 
@@ -52,14 +60,16 @@ def vars_to_mask(indices) -> int:
 
 
 def xor_points(masks, dtype=np.uint32) -> np.ndarray:
-    """All 2**len(masks) XOR combinations of the given masks.
+    """All 2**m XOR combinations of the masks along the last axis.
 
-    Index bit j of the output position corresponds to masks[j]; so out[0] = 0
-    and out[2**j] = masks[j].
+    masks has shape (..., m) and the result (..., 2**m). Index bit j of the
+    last output axis corresponds to masks[..., j]; so out[..., 0] = 0 and
+    out[..., 2**j] = masks[..., j].
     """
-    m = len(masks)
-    out = np.zeros(1 << m, dtype=dtype)
-    for j, b in enumerate(masks):
+    masks = np.asarray(masks, dtype=dtype)
+    m = masks.shape[-1]
+    out = np.zeros(masks.shape[:-1] + (1 << m,), dtype=dtype)
+    for j in range(m):
         half = 1 << j
-        out[half : 2 * half] = out[:half] ^ dtype(b)
+        out[..., half : 2 * half] = out[..., :half] ^ masks[..., j : j + 1]
     return out

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -211,18 +210,6 @@ def _profile(rep_id: str, n: int, complement: bool,
     return degreedrop.profile(f, k_max=k_max).fingerprint()
 
 
-def _warm(ids, n: int, complement: bool, k_max: int,
-          threads: int | None) -> None:
-    # Per-representative parallelism; results land in the _profile cache.
-    if threads is None or threads <= 1:
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for _ in pool.map(
-            lambda i: _profile(i, n, complement, k_max), ids
-        ):
-            pass
-
-
 def _first_drop_codim(counts: tuple[int, ...]) -> int | None:
     # counts = (c1, c2, new2, c3, new3, ...); plain counts sit at 0, 1, 3, ...
     k = 1
@@ -246,10 +233,10 @@ def reproduce_table_deg3(threads: int | None = None) -> list[TableRow]:
 
     Returns one row per representative; raises CatalogMismatchError if any
     recomputed 5-tuple differs from the stored one or if the stored
-    coinciding pairs fail to coincide.
+    coinciding pairs fail to coincide.  `threads` is accepted for
+    compatibility and has no effect.
     """
     ids = [rep.id for rep in load_catalog()]
-    _warm(ids, 8, False, 3, threads)
     rows = []
     bad = []
     for rep in load_catalog():
@@ -273,11 +260,10 @@ def reproduce_table_deg5(threads: int | None = None) -> list[TableRow]:
 
     Rows carry the recorded reference values; the known erratum is pinned to
     its recomputed value instead (see KNOWN_ERRATA) and stays visible in the
-    returned rows.
+    returned rows.  `threads` is accepted for compatibility and has no effect.
     """
     ids = [rep.id for rep in load_catalog()
            if rep.id in HYPERPLANE_STABLE_DEG5_N8]
-    _warm(ids, 8, True, 2, threads)
     rows = []
     bad = []
     for rep_id in ids:
@@ -306,6 +292,7 @@ def verify_k_sets(threads: int | None = None) -> dict[str, KSetCheck]:
     size sums against the counting formula, the quartic and quintic
     complement tables, and the co-dimension 2 drop probability for cubics in
     7 variables.  Raises CatalogMismatchError on any failed check.
+    `threads` is accepted for compatibility and has no effect.
     """
     reps = load_catalog()
     all_ids = [rep.id for rep in reps]
@@ -315,7 +302,6 @@ def verify_k_sets(threads: int | None = None) -> dict[str, KSetCheck]:
     def add(name: str, computed: object, expected: object) -> None:
         checks[name] = KSetCheck(computed == expected, computed, expected)
 
-    _warm(small_ids, 7, False, 3, threads)
     prof7 = {i: _profile(i, 7, False, 3) for i in small_ids}
     add(
         "hyperplane_stable_deg3_n7",
@@ -338,7 +324,6 @@ def verify_k_sets(threads: int | None = None) -> dict[str, KSetCheck]:
         True,
     )
 
-    _warm(all_ids, 8, False, 3, threads)
     prof8 = {i: _profile(i, 8, False, 3) for i in all_ids}
     add(
         "hyperplane_stable_deg3_n8",
@@ -356,7 +341,6 @@ def verify_k_sets(threads: int | None = None) -> dict[str, KSetCheck]:
         True,
     )
 
-    _warm(small_ids, 7, True, 2, threads)
     cprof7 = {i: _profile(i, 7, True, 2) for i in small_ids}
     add(
         "hyperplane_stable_deg4_n7",
@@ -375,7 +359,6 @@ def verify_k_sets(threads: int | None = None) -> dict[str, KSetCheck]:
          for i in sorted(HYPERPLANE_STABLE_DEG4_N7)},
     )
 
-    _warm(all_ids, 8, True, 2, threads)
     cprof8 = {i: _profile(i, 8, True, 2) for i in all_ids}
     add(
         "hyperplane_stable_deg5_n8",
@@ -412,9 +395,7 @@ class DegStabCell(NamedTuple):
     method: str
 
 
-def _max_stability(ids, n: int, complement: bool, k_max: int,
-                   threads: int | None) -> int:
-    _warm(ids, n, complement, k_max, threads)
+def _max_stability(ids, n: int, complement: bool, k_max: int) -> int:
     best = 0
     for rep_id in ids:
         counts = _profile(rep_id, n, complement, k_max)
@@ -435,7 +416,8 @@ def reproduce_degstab_table(threads: int | None = None) -> list[DegStabCell]:
     classification: degree 3 directly, degrees 4 and 5 via complements.  The
     (degree 4, 8 variables) entry combines an explicit witness with the
     bound deg_stab(r, n+1) <= deg_stab(r, n) + 1, and the (degree 3, 6
-    variables) entry uses the fast-point embedding argument.
+    variables) entry uses the fast-point embedding argument.  `threads` is
+    accepted for compatibility and has no effect.
     """
     from . import special
 
@@ -455,21 +437,21 @@ def reproduce_degstab_table(threads: int | None = None) -> list[DegStabCell]:
             elif r == 2:
                 value, method = n // 2 - 1, "closed form (quadratics)"
             elif (r, n) == (3, 7):
-                value = _max_stability(small_ids, 7, False, 3, threads)
+                value = _max_stability(small_ids, 7, False, 3)
                 method = "scan of the 11 cubic classes in 7 variables"
             elif (r, n) == (3, 8):
-                value = _max_stability(all_ids, 8, False, 3, threads)
+                value = _max_stability(all_ids, 8, False, 3)
                 method = "scan of the 31 cubic classes in 8 variables"
             elif (r, n) == (4, 7):
-                value = _max_stability(small_ids, 7, True, 3, threads)
+                value = _max_stability(small_ids, 7, True, 3)
                 method = "scan of the 11 quartic classes in 7 variables"
             elif (r, n) == (5, 8):
-                value = _max_stability(all_ids, 8, True, 3, threads)
+                value = _max_stability(all_ids, 8, True, 3)
                 method = "scan of the 31 quintic classes in 8 variables"
             elif (r, n) == (4, 8):
-                value, method = _degstab_4_8(threads)
+                value, method = _degstab_4_8()
             elif (r, n) == (3, 6):
-                value, method = _degstab_3_6(threads)
+                value, method = _degstab_3_6()
             else:  # pragma: no cover - table rows are fixed
                 raise AssertionError(f"no reproduction route for {(r, n)}")
             cells.append(DegStabCell(n, r, value, method))
@@ -480,15 +462,15 @@ def reproduce_degstab_table(threads: int | None = None) -> list[DegStabCell]:
     return cells
 
 
-def _degstab_4_8(threads: int | None) -> tuple[int, str]:
+def _degstab_4_8() -> tuple[int, str]:
     # Lower bound: an explicit quartic in 8 variables stable at
     # co-dimension 2.  Upper bound: restricting to a hyperplane on which the
     # degree is kept eliminates one variable, so
     # deg_stab(4, 8) <= deg_stab(4, 7) + 1.
     witness = ANF.parse(RANK_WITHOUT_DROP_WITNESS, 8)
-    lower = degreedrop.deg_stab(witness, threads=threads)
+    lower = degreedrop.deg_stab(witness)
     small_ids = [rep.id for rep in load_catalog() if rep.n_native <= 7]
-    upper = _max_stability(small_ids, 7, True, 3, threads) + 1
+    upper = _max_stability(small_ids, 7, True, 3) + 1
     if lower != upper:
         raise CatalogMismatchError(
             [("deg_stab(4,8)", (lower, upper), "bounds must pin the value")]
@@ -496,16 +478,15 @@ def _degstab_4_8(threads: int | None) -> tuple[int, str]:
     return lower, "explicit witness + one-variable extension bound"
 
 
-def _degstab_3_6(threads: int | None) -> tuple[int, str]:
+def _degstab_3_6() -> tuple[int, str]:
     # Lower bound: x1x2x3 + x4x5x6 keeps degree on every hyperplane of
     # F_2^6.  Upper bound: a 6-variable cubic stable at co-dimension 2
     # would, viewed in 7 variables, land in the unique 7-variable class
     # stable at co-dimension 2; members of that class have no fast points,
     # but any function not depending on x7 has the direction e7 as a fast
     # point.  Contradiction, so no such cubic exists.
-    lower = degreedrop.deg_stab(representative("f4").anf(6), threads=threads)
+    lower = degreedrop.deg_stab(representative("f4").anf(6))
     small_ids = [rep.id for rep in load_catalog() if rep.n_native <= 7]
-    _warm(small_ids, 7, False, 3, threads)
     codim2_stable = [
         rep_id for rep_id in small_ids
         if _first_drop_codim(_profile(rep_id, 7, False, 3)) == 3

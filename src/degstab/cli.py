@@ -2,15 +2,15 @@
 
 Subcommands: analyze, enumerate-dd, count, construct, catalog, symmetric.
 Exit codes: 0 on success, 1 when a verification or consistency check fails,
-2 on usage errors.  All output is deterministic for a fixed invocation,
-including under --threads parallelism.
+2 on usage errors.  All output is deterministic for a fixed invocation.
+--threads is accepted (a negative value is a usage error) but every scan runs
+in one thread, so it never changes the output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -20,13 +20,9 @@ from .errors import CatalogMismatchError, DegstabError
 from .subspaces import count_codim, format_subspace
 
 
-def _resolve_threads(value: int) -> int:
-    # 0 means auto; output never depends on the thread count.
-    if value < 0:
-        raise ValueError("--threads must be >= 0")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
+def _check_codim(flag: str, value: int | None, n: int) -> None:
+    if value is not None and not 1 <= value <= n:
+        raise DegstabError(f"{flag} must be between 1 and n={n}, got {value}")
 
 
 def _load_anf(args: argparse.Namespace) -> ANF:
@@ -47,12 +43,12 @@ def _emit(text: str) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     f = _load_anf(args)
+    _check_codim("--max-codim", args.max_codim, f.n)
     if not f or f.degree() == 0:
         raise DegstabError("analyze needs a function of degree at least 1")
-    threads = _resolve_threads(args.threads)
     rep = report.build_report(
         f, args.anf if args.anf is not None else args.anf_file,
-        max_codim=args.max_codim, threads=threads,
+        max_codim=args.max_codim,
     )
     if args.json:
         _emit(json.dumps(rep, indent=2))
@@ -66,9 +62,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate_dd(args: argparse.Namespace) -> int:
     f = _load_anf(args)
+    _check_codim("--k", args.k, f.n)
+    _check_codim("--max-codim", args.max_codim, f.n)
     if not f or f.degree() == 0:
         raise DegstabError("enumeration needs a function of degree at least 1")
-    threads = _resolve_threads(args.threads)
     if args.k is not None:
         codims = [args.k]
     else:
@@ -81,7 +78,7 @@ def _cmd_enumerate_dd(args: argparse.Namespace) -> int:
     for k in codims:
         spaces = [
             format_subspace(v)
-            for v in degreedrop.enumerate_degree_drop(f, k, threads=threads)
+            for v in degreedrop.enumerate_degree_drop(f, k)
         ]
         collected.append((k, spaces))
 
@@ -149,7 +146,6 @@ def _scan_budget(n: int) -> bool:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    threads = _resolve_threads(args.threads)
     checks: list[tuple[str, str]] = []
     if args.method == "random":
         result = construct.randomized_construction(
@@ -159,9 +155,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         witness = construct.check_hyperplane_sufficient(result)
         checks.append(("witness-condition", "PASS" if witness.ok else "FAIL"))
         if _scan_budget(args.n):
-            clean = not degreedrop.has_degree_drop_space(
-                result.to_anf(), 1, threads=threads
-            )
+            clean = not degreedrop.has_degree_drop_space(result.to_anf(), 1)
             checks.append(
                 ("exhaustive-hyperplane-scan", "PASS" if clean else "FAIL")
             )
@@ -177,9 +171,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         anf_text = f.to_text()
         if _scan_budget(args.n):
             for k in range(1, args.k + 1):
-                clean = not degreedrop.has_degree_drop_space(
-                    f, k, threads=threads
-                )
+                clean = not degreedrop.has_degree_drop_space(f, k)
                 checks.append(
                     (f"codim-{k}-scan", "PASS" if clean else "FAIL")
                 )
@@ -193,7 +185,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         f = construct.direct_sum(args.r, args.k, args.n)
         anf_text = f.to_text()
         if _scan_budget(args.n):
-            stab = degreedrop.deg_stab(f, threads=threads)
+            stab = degreedrop.deg_stab(f)
             checks.append(
                 ("deg-stab", "PASS" if stab == args.k - 1 else "FAIL")
             )
@@ -226,32 +218,31 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 # -- catalog -----------------------------------------------------------------
 
 
-def _catalog_rows(table: str, threads: int) -> tuple[list[str], list[list]]:
+def _catalog_rows(table: str) -> tuple[list[str], list[list]]:
     if table == "deg3":
-        rows = catalog.reproduce_table_deg3(threads=threads)
+        rows = catalog.reproduce_table_deg3()
         header = ["id", "codim1", "codim2", "new2", "codim3", "new3"]
         return header, [[row.id, *row.computed] for row in rows]
     if table == "deg5":
-        rows = catalog.reproduce_table_deg5(threads=threads)
+        rows = catalog.reproduce_table_deg5()
         header = ["id", "hyperplanes", "codim2", "recorded_codim2"]
         return header, [
             [row.id, row.computed[0], row.computed[1], row.expected[1]]
             for row in rows
         ]
     if table == "degstab":
-        cells = catalog.reproduce_degstab_table(threads=threads)
+        cells = catalog.reproduce_degstab_table()
         header = ["n", "r", "deg_stab", "method"]
         return header, [[c.n, c.r, c.value, c.method] for c in cells]
     if table == "ksets":
-        checks = catalog.verify_k_sets(threads=threads)
+        checks = catalog.verify_k_sets()
         header = ["check", "ok"]
         return header, [[name, c.ok] for name, c in checks.items()]
     raise DegstabError(f"unknown table {table!r}")
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    threads = _resolve_threads(args.threads)
-    header, rows = _catalog_rows(args.table, threads)
+    header, rows = _catalog_rows(args.table)
     if args.json:
         _emit(json.dumps(
             [dict(zip(header, row)) for row in rows], indent=2
@@ -396,6 +387,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 0) < 0:
+            raise ValueError(f"--threads must be >= 0, got {args.threads}")
         return args.func(args)
     except CatalogMismatchError as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)

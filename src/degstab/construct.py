@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Union
 
 from .anf import ANF, format_monomial_masks
 from .bits import mask_to_vars, vars_to_mask

@@ -11,18 +11,14 @@ point axis, then a popcount reduction for the degrees.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import f2
-from .anf import ANF, NEG_INF, Degree
+from .anf import ANF, NEG_INF, Degree, mobius_inplace
 from .bits import popcount_table, xor_points
-from .counting import gaussian_binomial
 from .errors import (
     ClosureViolationError,
     ConstantFunctionError,
@@ -35,7 +31,7 @@ from .errors import (
 from .subspaces import (
     LinearSubspace,
     Subspace,
-    _as_affine,
+    _CACHE_LIMIT,
     count_codim,
     iter_codim_chunks,
     materialized_codim,
@@ -43,7 +39,6 @@ from .subspaces import (
 )
 
 _CHUNK = 8192
-_CACHE_LIMIT = 250_000
 
 
 def _int_degree(f: ANF) -> int:
@@ -53,63 +48,45 @@ def _int_degree(f: ANF) -> int:
     return int(d)
 
 
-def _batch_degrees(tt: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Degrees of the restrictions with the given solution bases (rows).
+def _degrees(rows: np.ndarray) -> np.ndarray:
+    """Degrees of the ANF rows (last axis 2**m); int16, -1 for the zero function."""
+    pc1 = popcount_table(rows.shape[-1].bit_length() - 1) + np.uint8(1)
+    return (rows * pc1).max(axis=-1).astype(np.int16) - 1
 
-    int16 result; -1 encodes the zero restriction (NEG_INF at the API level).
+
+def _is_fast(tt: np.ndarray, dirs: np.ndarray, r: int) -> np.ndarray:
+    """Per row of k directions: is the derivative of f along their span zero
+    or of degree < r - k? `tt` is f's truth table, `dirs` has shape (rows, k).
     """
-    nrows, m = bases.shape
-    pts = np.zeros((nrows, 1 << m), dtype=np.uint32)
-    for j in range(m):
-        half = 1 << j
-        pts[:, half : 2 * half] = pts[:, :half] ^ bases[:, j : j + 1]
-    rest = tt[pts]
-    for i in range(m):
-        v = rest.reshape(nrows, -1, 2, 1 << i)
-        v[:, :, 1, :] ^= v[:, :, 0, :]
-    rest = rest.reshape(nrows, 1 << m)
-    pc1 = popcount_table(m) + np.uint8(1)
-    return (rest * pc1).max(axis=1).astype(np.int16) - 1
+    k = dirs.shape[-1]
+    x = np.arange(tt.size, dtype=np.uint32)
+    offs = xor_points(dirs)
+    flags = np.empty(len(dirs), dtype=bool)
+    step = max(1, _CHUNK // max(1, tt.size // 256))
+    for s in range(0, len(dirs), step):
+        o = offs[s : s + step]
+        der = tt[x ^ o[:, 1:2]] ^ tt
+        for j in range(2, 1 << k):
+            der ^= tt[x ^ o[:, j : j + 1]]
+        degs = _degrees(mobius_inplace(der))
+        flags[s : s + len(o)] = (degs == -1) | (degs < r - k)
+    return flags
 
 
-def _iter_chunk_pairs(n: int, k: int) -> Iterator[tuple[Sequence[tuple[int, ...]], np.ndarray]]:
-    if count_codim(n, k) <= _CACHE_LIMIT:
-        forms, bases = materialized_codim(n, k)
-        for s in range(0, len(forms), _CHUNK):
-            yield forms[s : s + _CHUNK], bases[s : s + _CHUNK]
-    else:
-        yield from iter_codim_chunks(n, k, _CHUNK)
-
-
-def _ordered_map(work, items, threads: int):
-    """map() preserving order, with a bounded thread pool when threads > 1."""
-    if threads <= 1:
-        for it in items:
-            yield work(it)
-        return
-    items = iter(items)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        pending = deque(
-            ex.submit(work, it) for it in itertools.islice(items, threads * 2)
-        )
-        while pending:
-            out = pending.popleft().result()
-            nxt = next(items, None)
-            if nxt is not None:
-                pending.append(ex.submit(work, nxt))
-            yield out
-
-
-def _drop_chunks(f: ANF, k: int, threads: int = 1):
+def _drop_chunks(f: ANF, k: int):
     """Yield (forms_chunk, drop_flags) over all codim-k subspaces, in order."""
     r = _int_degree(f)
     tt = f.truth_table()
-
-    def work(pair):
-        forms, bases = pair
-        return forms, _batch_degrees(tt, bases) < r
-
-    yield from _ordered_map(work, _iter_chunk_pairs(f.n, k), threads)
+    if count_codim(f.n, k) <= _CACHE_LIMIT:
+        all_forms, all_bases = materialized_codim(f.n, k)
+        chunks = (
+            (all_forms[s : s + _CHUNK], all_bases[s : s + _CHUNK])
+            for s in range(0, len(all_forms), _CHUNK)
+        )
+    else:
+        chunks = iter_codim_chunks(f.n, k, _CHUNK)
+    for forms, bases in chunks:
+        yield forms, _degrees(mobius_inplace(tt[xor_points(bases)])) < r
 
 
 # -- single-subspace checks --------------------------------------------------
@@ -130,18 +107,29 @@ def restriction_degree(f: ANF, space: Subspace) -> Degree:
 
 
 def enumerate_degree_drop(f: ANF, k: int, threads: int = 1) -> Iterator[LinearSubspace]:
-    """Degree-drop linear subspaces of co-dimension k, canonical order."""
-    for forms, dd in _drop_chunks(f, k, threads):
+    """Degree-drop linear subspaces of co-dimension k, canonical order.
+
+    `threads` is accepted for compatibility and has no effect.
+    """
+    for forms, dd in _drop_chunks(f, k):
         for i in np.flatnonzero(dd):
             yield LinearSubspace(f.n, forms[i])
 
 
 def degree_drop_count(f: ANF, k: int, threads: int = 1) -> int:
-    return sum(int(dd.sum()) for _, dd in _drop_chunks(f, k, threads))
+    """Number of degree-drop linear subspaces of co-dimension k.
+
+    `threads` is accepted for compatibility and has no effect.
+    """
+    return sum(int(dd.sum()) for _, dd in _drop_chunks(f, k))
 
 
 def has_degree_drop_space(f: ANF, k: int, threads: int = 1) -> bool:
-    for _, dd in _drop_chunks(f, k, threads):
+    """True iff some linear subspace of co-dimension k is degree-drop.
+
+    `threads` is accepted for compatibility and has no effect.
+    """
+    for _, dd in _drop_chunks(f, k):
         if dd.any():
             return True
     return False
@@ -150,11 +138,12 @@ def has_degree_drop_space(f: ANF, k: int, threads: int = 1) -> bool:
 def k_membership(f: ANF, k: int, threads: int = 1) -> bool:
     """True iff f has no degree-drop space of co-dimension k (class K_k).
 
-    By inclusion this also rules out every co-dimension below k.
+    By inclusion this also rules out every co-dimension below k. `threads`
+    is accepted for compatibility and has no effect.
     """
     if k < 1 or k > f.n:
         raise ValueError(f"co-dimension {k} out of range for n={f.n}")
-    return not has_degree_drop_space(f, k, threads)
+    return not has_degree_drop_space(f, k)
 
 
 # -- profiles ------------------------------------------------------------------
@@ -216,7 +205,8 @@ def profile(f: ANF, k_max: Optional[int] = None, threads: int = 1) -> DegreeDrop
 
     `new` counts those not contained in any degree-drop space of co-dimension
     one less (for co-dimension 1, new = count). Default k_max is
-    min(3, n - deg(f)).
+    min(3, n - deg(f)). `threads` is accepted for compatibility and has no
+    effect.
     """
     r = _int_degree(f)
     if k_max is None:
@@ -225,7 +215,7 @@ def profile(f: ANF, k_max: Optional[int] = None, threads: int = 1) -> DegreeDrop
     prev: Optional[set] = None
     for k in range(1, k_max + 1):
         drops: list[tuple[int, ...]] = []
-        for forms, dd in _drop_chunks(f, k, threads):
+        for forms, dd in _drop_chunks(f, k):
             drops.extend(forms[i] for i in np.flatnonzero(dd))
         if k == 1 or prev is None:
             new = len(drops)
@@ -244,14 +234,15 @@ def deg_stab(f: ANF, threads: int = 1) -> int:
     """Largest k such that f has no degree-drop subspace of co-dimension k.
 
     0 means some hyperplane already drops the degree. Undefined (error) for
-    zero and constant functions.
+    zero and constant functions. `threads` is accepted for compatibility and
+    has no effect.
     """
     r = _int_degree(f)
     if r == 0:
         raise ConstantFunctionError("degree stability is undefined for constants")
     k = 1
     while k <= f.n:
-        if has_degree_drop_space(f, k, threads):
+        if has_degree_drop_space(f, k):
             return k - 1
         # restriction to any codim n-r+1 space must drop, so we stop before that
         assert k <= f.n - r, "no degree-drop space found in the guaranteed range"
@@ -291,14 +282,19 @@ class HyperplaneNormalSpace:
 
 
 def dd_hyperplane_normals(f: ANF, threads: int = 1) -> frozenset[int]:
+    """Normals of the degree-drop hyperplanes.
+
+    `threads` is accepted for compatibility and has no effect.
+    """
     normals = set()
-    for forms, dd in _drop_chunks(f, 1, threads):
+    for forms, dd in _drop_chunks(f, 1):
         normals.update(forms[i][0] for i in np.flatnonzero(dd))
     return frozenset(normals)
 
 
 def dd_hyperplane_normal_space(f: ANF, threads: int = 1) -> HyperplaneNormalSpace:
-    normals = dd_hyperplane_normals(f, threads)
+    """The normals with a basis of their span; `threads` has no effect."""
+    normals = dd_hyperplane_normals(f)
     basis, dim = _span_closure_check(normals, f.n, "degree-drop hyperplane normals")
     return HyperplaneNormalSpace(f.n, normals, basis, dim)
 
@@ -317,32 +313,12 @@ class FastPointSpace:
         return len(self.points)
 
 
-def _fast_point_flags(f: ANF) -> np.ndarray:
-    """Boolean array over a = 1..2**n-1 marking fast points."""
+def fast_points(f: ANF) -> FastPointSpace:
     d = f.degree()
     if d is NEG_INF:
         raise ZeroFunctionError("fast points are undefined for the zero function")
-    r = int(d)
-    n = f.n
-    tt = f.truth_table()
-    x = np.arange(1 << n, dtype=np.uint32)
-    flags = np.empty((1 << n) - 1, dtype=bool)
-    step = max(1, _CHUNK // max(1, (1 << n) // 256))
-    for s in range(1, 1 << n, step):
-        a = np.arange(s, min(s + step, 1 << n), dtype=np.uint32)[:, None]
-        der = tt[x[None, :] ^ a] ^ tt[None, :]
-        for i in range(n):
-            v = der.reshape(a.shape[0], -1, 2, 1 << i)
-            v[:, :, 1, :] ^= v[:, :, 0, :]
-        der = der.reshape(a.shape[0], 1 << n)
-        pc1 = popcount_table(n) + np.uint8(1)
-        degs = (der * pc1).max(axis=1).astype(np.int16) - 1
-        flags[s - 1 : s - 1 + a.shape[0]] = (degs == -1) | (degs < r - 1)
-    return flags
-
-
-def fast_points(f: ANF) -> FastPointSpace:
-    flags = _fast_point_flags(f)
+    dirs = np.arange(1, 1 << f.n, dtype=np.uint32)[:, None]
+    flags = _is_fast(f.truth_table(), dirs, int(d))
     pts = frozenset(int(i) + 1 for i in np.flatnonzero(flags))
     basis, dim = _span_closure_check(pts, f.n, "fast points")
     return FastPointSpace(f.n, pts, basis, dim)
@@ -363,16 +339,7 @@ def is_fast_space(f: ANF, directions: Sequence[int]) -> bool:
     d = f.degree()
     if d is NEG_INF:
         raise ZeroFunctionError("fast spaces are undefined for the zero function")
-    r = int(d)
-    k = len(dirs)
-    tt = f.truth_table()
-    x = np.arange(1 << f.n, dtype=np.uint32)
-    der = np.zeros_like(tt)
-    for s in xor_points(dirs):
-        der = der ^ tt[x ^ s]
-    g = ANF.from_truth_table(der)
-    gd = g.degree()
-    return gd is NEG_INF or gd < r - k
+    return bool(_is_fast(f.truth_table(), np.array([dirs], dtype=np.uint32), int(d))[0])
 
 
 # -- duality -------------------------------------------------------------------
@@ -396,39 +363,18 @@ class DualityReport:
 
 def check_dd_fast_duality(f: ANF, k_max: int = 1, threads: int = 1) -> DualityReport:
     """Verify: codim-k space with annihilator S is degree-drop for f iff S
-    spans a fast space of the complement of f. Requires homogeneous f."""
+    spans a fast space of the complement of f. Requires homogeneous f.
+    `threads` is accepted for compatibility and has no effect."""
     if not f or not f.is_homogeneous():
         raise NotHomogeneousError("duality check requires a nonzero homogeneous function")
     r = int(f.degree())
-    comp = f.complement()
-    rc = f.n - r
-    tt_c = comp.truth_table()
-    x = np.arange(1 << f.n, dtype=np.uint32)
-    pc1 = popcount_table(f.n) + np.uint8(1)
-
-    mismatches = []
-    normals = dd_hyperplane_normals(f, threads)
-    cfast = frozenset(int(i) + 1 for i in np.flatnonzero(_fast_point_flags(comp)))
-    for a in normals ^ cfast:
-        mismatches.append((1, (a,)))
-
-    for k in range(2, k_max + 1):
-        for forms, dd in _drop_chunks(f, k, threads):
-            farr = np.array(forms, dtype=np.uint32)
-            offs = np.zeros((farr.shape[0], 1 << k), dtype=np.uint32)
-            for j in range(k):
-                half = 1 << j
-                offs[:, half : 2 * half] = offs[:, :half] ^ farr[:, j : j + 1]
-            der = np.zeros((farr.shape[0], 1 << f.n), dtype=np.uint8)
-            for j in range(1 << k):
-                der ^= tt_c[x[None, :] ^ offs[:, j : j + 1]]
-            for i in range(f.n):
-                v = der.reshape(farr.shape[0], -1, 2, 1 << i)
-                v[:, :, 1, :] ^= v[:, :, 0, :]
-            der = der.reshape(farr.shape[0], 1 << f.n)
-            degs = (der * pc1).max(axis=1).astype(np.int16) - 1
-            fast = (degs == -1) | (degs < rc - k)
-            for i in np.flatnonzero(fast != dd):
-                mismatches.append((k, forms[i]))
-
-    return DualityReport(f.n, r, k_max, normals, cfast, tuple(mismatches))
+    tt_c = f.complement().truth_table()
+    normals, cfast, mismatches = set(), set(), []
+    for k in range(1, max(1, k_max) + 1):  # hyperplanes are always checked
+        for forms, dd in _drop_chunks(f, k):
+            fast = _is_fast(tt_c, np.array(forms, dtype=np.uint32), f.n - r)
+            if k == 1:
+                normals.update(forms[i][0] for i in np.flatnonzero(dd))
+                cfast.update(forms[i][0] for i in np.flatnonzero(fast))
+            mismatches.extend((k, forms[i]) for i in np.flatnonzero(fast != dd))
+    return DualityReport(f.n, r, k_max, frozenset(normals), frozenset(cfast), tuple(mismatches))

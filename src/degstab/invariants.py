@@ -12,7 +12,7 @@ import itertools
 from typing import NamedTuple
 
 from . import degreedrop, f2
-from .anf import ANF, NEG_INF
+from .anf import ANF
 from .bits import vars_to_mask
 from .errors import NotHomogeneousError, ZeroFunctionError
 
@@ -59,8 +59,11 @@ def r_values(f: ANF, k_max: int) -> list[int]:
 
 
 def fingerprint(f: ANF, k_max: int = 3, threads: int = 1) -> tuple[int, ...]:
-    """Flat degree-drop profile tuple (count_1, count_2, new_2, ...)."""
-    return degreedrop.profile(f, k_max, threads).fingerprint()
+    """Flat degree-drop profile tuple (count_1, count_2, new_2, ...).
+
+    `threads` is accepted for compatibility and has no effect.
+    """
+    return degreedrop.profile(f, k_max).fingerprint()
 
 
 def rank_mod_lower(f: ANF) -> int:

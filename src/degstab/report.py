@@ -22,7 +22,8 @@ def build_report(f: ANF, source: str, max_codim: int | None = None,
 
     `source` is echoed back as the "input" field.  Checkers and the
     complement analysis are evaluated on the top part, which is what the
-    degree-drop behaviour depends on.
+    degree-drop behaviour depends on.  `threads` is accepted for
+    compatibility and has no effect.
     """
     if not f:
         raise ZeroFunctionError("no report for the zero function")
@@ -31,15 +32,15 @@ def build_report(f: ANF, source: str, max_codim: int | None = None,
         max_codim = min(3, max(1, f.n - r))
     top = f.top_part()
 
-    prof = degreedrop.profile(f, k_max=max_codim, threads=threads)
-    stab = degreedrop.deg_stab(f, threads=threads)
-    normals = degreedrop.dd_hyperplane_normal_space(f, threads=threads)
+    prof = degreedrop.profile(f, k_max=max_codim)
+    stab = degreedrop.deg_stab(f)
+    normals = degreedrop.dd_hyperplane_normal_space(f)
     rvals = invariants.r_values(top, max_codim)
 
     hyper = construct.check_hyperplane_sufficient(top)
     fastpoint = construct.check_fastpoint_sufficient(top)
     comp_fast = degreedrop.fast_points(top.complement())
-    duality = degreedrop.check_dd_fast_duality(top, k_max=1, threads=threads)
+    duality = degreedrop.check_dd_fast_duality(top, k_max=1)
 
     consistency = {
         "hyperplane_count_is_rank_power": normals.count == (1 << rvals[0]) - 1,

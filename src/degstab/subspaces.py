@@ -12,7 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -299,7 +299,11 @@ _CACHE_LIMIT = 250_000
 @lru_cache(maxsize=16)
 def materialized_codim(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Cached full enumeration for small [n k]_2; used by the scan engine."""
-    assert count_codim(n, k) <= _CACHE_LIMIT
+    if count_codim(n, k) > _CACHE_LIMIT:
+        raise ValueError(
+            f"{count_codim(n, k)} subspaces of co-dimension {k} in F_2^{n} exceed"
+            f" the cache limit {_CACHE_LIMIT}; stream them with iter_codim_chunks"
+        )
     all_forms: list[tuple[int, ...]] = []
     arrays = []
     for forms, bases in iter_codim_chunks(n, k, chunk_size=1 << 15):

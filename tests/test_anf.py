@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from degstab import ANF, NEG_INF
-from degstab.anf import format_monomial_masks
+from degstab.anf import format_monomial_masks, mobius_inplace
 from degstab.errors import (
     AnfSyntaxError,
     NotHomogeneousError,
@@ -223,3 +223,7 @@ def test_mobius_is_involution():
         f = ANF.from_truth_table(tt)
         assert np.array_equal(f.truth_table(), tt)
         assert ANF.from_truth_table(f.truth_table()) == f
+    # a 2-D call transforms each row as the 1-D call does
+    rows = np.array([[rng.randint(0, 1) for _ in range(64)] for _ in range(5)], dtype=np.uint8)
+    expected = [mobius_inplace(row.copy()) for row in rows]
+    assert np.array_equal(mobius_inplace(rows), expected)

@@ -231,6 +231,26 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_out_of_range_arguments_are_usage_errors(capsys):
+    cases = [
+        (["analyze", "--n", "25", "--anf", "x1*x2*x3"], "24 variables"),
+        (["analyze", "--n", "4", "--anf", "123", "--max-codim", "9"],
+         "--max-codim must be between 1 and n=4, got 9"),
+        (["analyze", "--n", "4", "--anf", "123", "--max-codim", "0"],
+         "--max-codim must be between 1 and n=4, got 0"),
+        (["enumerate-dd", "--n", "4", "--anf", "123", "--k", "5"],
+         "--k must be between 1 and n=4, got 5"),
+        (["enumerate-dd", "--n", "4", "--anf", "123", "--max-codim", "-1"],
+         "--max-codim must be between 1 and n=4, got -1"),
+        (["enumerate-dd", "--n", "4", "--anf", "123", "--threads", "-1"],
+         "--threads must be >= 0, got -1"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and message in err, (argv, err)
+
+
 def test_unknown_table_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as info:
         main(["catalog", "--table", "bogus"])

@@ -193,6 +193,9 @@ def test_fast_points_match_oracle_and_closure():
         assert set(fp.points) == oracles.fast_point_set(n, f.monomials())
         members = set(fp.points) | {0}
         assert len(members) == 1 << fp.dim
+    # every derivative of a constant is zero, and a zero derivative is fast
+    for n in range(1, 7):
+        assert fast_points(ANF.one(n)).points == frozenset(range(1, 1 << n))
 
 
 def test_fast_points_of_zero_function_rejected():
@@ -222,6 +225,8 @@ def test_iterated_fast_space_definition():
         d = g.degree()
         expected = d == float("-inf") or d < r - 2
         assert is_fast_space(f, [a, b]) == expected
+    for n in range(1, 7):
+        assert all(is_fast_space(ANF.one(n), [a]) for a in range(1, 1 << n))
 
 
 def test_duality_on_random_homogeneous():

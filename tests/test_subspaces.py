@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from degstab import ANF, count_codim, enumerate_codim, format_subspace, parse_subspace, restrict
+from degstab.bits import xor_points
 from degstab.errors import AnfSyntaxError, VariableIndexError
 from degstab.subspaces import (
     AffineSubspace,
@@ -70,10 +71,14 @@ def test_enumerate_codim_matches_oracle_spans():
 def test_iter_codim_chunks_matches_enumeration():
     n, k = 6, 2
     flat_forms = []
+    flat_points = []
     for forms, bases in iter_codim_chunks(n, k, chunk_size=100):
         assert bases.shape == (len(forms), n - k)
         flat_forms.extend(forms)
-    assert flat_forms == [v.forms for v in enumerate_codim(n, k)]
+        flat_points.extend(xor_points(bases).tolist())  # one row per subspace
+    spaces = list(enumerate_codim(n, k))
+    assert flat_forms == [v.forms for v in spaces]
+    assert flat_points == [v.points().tolist() for v in spaces]
 
 
 def test_materialized_cache_consistent():
@@ -81,6 +86,8 @@ def test_materialized_cache_consistent():
     assert len(forms) == count_codim(5, 2) == bases.shape[0]
     again_forms, again_bases = materialized_codim(5, 2)
     assert again_forms is forms  # cached object
+    with pytest.raises(ValueError, match="cache limit"):
+        materialized_codim(9, 3)  # 788,035 subspaces
 
 
 def test_restriction_degree_matches_symbolic_oracle():
