@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from . import f2
-from .bits import mask_to_vars, parity_table, popcount_table
+from .bits import MAX_TABLE_VARS, mask_to_vars, parity_table, popcount_table
 from .errors import (
     AnfSyntaxError,
     DependentDirectionsError,
@@ -31,7 +31,8 @@ from .errors import (
 
 NEG_INF = float("-inf")
 
-MAX_VARS = 31
+# An ANF holds 2**n coefficient bytes, so it shares the truth-table ceiling.
+MAX_VARS = MAX_TABLE_VARS
 
 Degree = Union[int, float]
 
@@ -56,14 +57,21 @@ def mobius_inplace(bits: np.ndarray) -> np.ndarray:
     return bits
 
 
+def _check_vars(n: int) -> None:
+    """Reject n before anything allocates its 2**n bytes."""
+    if not 0 <= n <= MAX_VARS:
+        raise InvalidLengthError(
+            f"an ANF takes 2**n bytes and is limited to {MAX_VARS} variables, got n={n}"
+        )
+
+
 class ANF:
     """Immutable algebraic normal form of a Boolean function on F_2^n."""
 
     __slots__ = ("n", "coeffs", "_tt")
 
     def __init__(self, n: int, coeffs=None):
-        if not 0 <= n <= MAX_VARS:
-            raise InvalidLengthError(f"n must be between 0 and {MAX_VARS}, got {n}")
+        _check_vars(n)
         if coeffs is None:
             arr = np.zeros(1 << n, dtype=np.uint8)
         else:
@@ -86,6 +94,7 @@ class ANF:
 
     @classmethod
     def one(cls, n: int) -> "ANF":
+        _check_vars(n)
         a = np.zeros(1 << n, dtype=np.uint8)
         a[0] = 1
         return cls(n, a)
@@ -96,6 +105,7 @@ class ANF:
 
     @classmethod
     def from_monomials(cls, n: int, masks: Iterable[int]) -> "ANF":
+        _check_vars(n)
         a = np.zeros(1 << n, dtype=np.uint8)
         for m in masks:
             if m < 0 or m >> n:
@@ -270,6 +280,7 @@ class ANF:
         Whitespace is ignored. A bare "1" is the constant term; the monomial
         x1 on its own must be written "x1". Repeated terms cancel.
         """
+        _check_vars(n)
         stripped = re.sub(r"\s+", "", text)
         if stripped == "":
             raise AnfSyntaxError("empty polynomial text")

@@ -160,7 +160,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                 ("exhaustive-hyperplane-scan", "PASS" if clean else "FAIL")
             )
         else:
-            checks.append(("exhaustive-hyperplane-scan", "SKIPPED"))
+            # no truth table: solve for the normals on the monomial masks
+            clean = not degreedrop.hyperplane_normal_basis(result.n, result.masks)
+            checks.append(
+                ("hyperplane-normal-space", "PASS" if clean else "FAIL")
+            )
         extra = {"monomials": len(result.masks),
                  "extension_monomials": len(result.extension)}
     elif args.method == "circular":

@@ -20,6 +20,7 @@ from .errors import (
     NotHomogeneousError,
     PreconditionViolatedError,
     TooManyMonomialsError,
+    VariableIndexError,
     ZeroFunctionError,
 )
 
@@ -37,8 +38,10 @@ class MonomialSet:
 
     def __post_init__(self):
         for m in self.masks:
-            assert m.bit_count() == self.r, "monomial of wrong degree"
-            assert m >> self.n == 0, "monomial outside variable range"
+            if m < 0 or m >> self.n:
+                raise VariableIndexError(f"monomial mask {m:#x} uses variables beyond x{self.n}")
+            if m.bit_count() != self.r:
+                raise ValueError(f"monomial mask {m:#x} does not have degree {self.r}")
 
     def to_anf(self) -> ANF:
         return ANF.from_monomials(self.n, self.masks)

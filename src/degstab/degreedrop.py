@@ -7,12 +7,35 @@ enumeration here runs over linear subspaces (canonical annihilator forms).
 The scan engine restricts one function to many subspaces at once: truth-table
 gather along precomputed solution bases, a batched Moebius transform along the
 point axis, then a popcount reduction for the degrees.
+
+Hyperplane normals and fast points need no scan. Both are GF(2) kernels read
+off the top part f_r of a function f of degree r >= 0, with l_a = sum a_i x_i:
+
+* Normals. a != 0 is a degree-drop normal iff the degree-(r+1) part of
+  l_a * f_r is zero. Let H = {l_a = 0}, with indicator 1 + l_a. A function
+  supported on H whose restriction to H has degree d has degree d + 1 on
+  F_2^n: in coordinates with H = {y_1 = 0} it is (1 + y_1) * p(y_2, ..).
+  So deg(f|_H) < r iff deg(f + l_a * f) <= r iff deg(l_a * f) <= r. Terms
+  of f below degree r, and products x_i * x^mu with i in mu, reach degree
+  <= r; the rest is sum a_i x_i x^mu over i not in mu, mu in f_r.
+* Fast points. a != 0 is a fast point (deg D_a f < r - 1, or D_a f = 0)
+  iff sum a_i df_r/dx_i = 0, with the formal partials. D_a x^mu =
+  prod(x_i + a_i) - prod(x_i) has degree-(|mu|-1) part sum_{i in mu} a_i
+  x^{mu - i}, so a monomial of degree d < r contributes only degree <= r - 2,
+  and D_a f never exceeds degree r - 1.
+
+Each output monomial nu is one linear condition on a: the XOR of the a_i
+over the variables i that reach nu must vanish. The condition's mask is the
+set {i in nu : nu - i in f_r} for normals and {i not in nu : nu + i in f_r}
+for fast points. For a homogeneous f and its complement these are the same
+masks under nu -> complement of nu, which is the hyperplane case of the
+degree-drop / fast-point duality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -20,9 +43,9 @@ from . import f2
 from .anf import ANF, NEG_INF, Degree, mobius_inplace
 from .bits import popcount_table, xor_points
 from .errors import (
-    ClosureViolationError,
     ConstantFunctionError,
     DependentDirectionsError,
+    InvariantViolationError,
     NotHomogeneousError,
     VariableIndexError,
     ZeroDirectionError,
@@ -240,31 +263,63 @@ def deg_stab(f: ANF, threads: int = 1) -> int:
     r = _int_degree(f)
     if r == 0:
         raise ConstantFunctionError("degree stability is undefined for constants")
-    k = 1
-    while k <= f.n:
+    # a codim-(n - r + 1) space has dimension r - 1, so f must drop there
+    for k in range(1, f.n - r + 2):
         if has_degree_drop_space(f, k):
             return k - 1
-        # restriction to any codim n-r+1 space must drop, so we stop before that
-        assert k <= f.n - r, "no degree-drop space found in the guaranteed range"
-        k += 1
-    raise AssertionError("unreachable: codim-n restriction is constant")
+    raise InvariantViolationError(
+        f"no degree-drop space of co-dimension {f.n - r + 1} found for degree {r}"
+        f" on n={f.n}, where one must exist"
+    )
 
 
 # -- hyperplane normals and fast points ---------------------------------------
 
 
-def _span_closure_check(members: frozenset[int], n: int, what: str) -> tuple[tuple[int, ...], int]:
-    """RREF basis of the span; verifies members + 0 is exactly the span."""
-    basis_rows, dim, _ = f2.rref_rows(sorted(members), n)
-    basis = tuple(basis_rows[:dim])
-    if len(members) != (1 << dim) - 1:
-        raise ClosureViolationError(
-            f"{what}: {len(members)} elements cannot form a {dim}-dimensional space"
-        )
-    for v in xor_points(basis)[1:]:
-        if int(v) not in members:
-            raise ClosureViolationError(f"{what}: span member {int(v):#x} missing")
-    return basis, dim
+def _kernel(n: int, conditions) -> tuple[int, ...]:
+    """Canonical (RREF) basis of {a : parity(a & c) = 0 for every condition c}."""
+    basis = f2.kernel_basis_of_rows(set(conditions), n)
+    rows, dim, _ = f2.rref_rows(basis, n)
+    return tuple(rows[:dim])
+
+
+def hyperplane_normal_basis(n: int, top: Iterable[int]) -> tuple[int, ...]:
+    """Basis of the degree-drop hyperplane normals of any function whose
+    top-degree monomials are `top`: the a with no degree-(r+1) term in l_a * f_r.
+
+    Works on masks alone, so n may exceed the truth-table ceiling.
+    """
+    conditions: dict[int, int] = {}
+    for mu in top:
+        for i in range(n):
+            bit = 1 << i
+            if not mu & bit:
+                conditions[mu | bit] = conditions.get(mu | bit, 0) | bit
+    return _kernel(n, conditions.values())
+
+
+def fast_point_basis(n: int, top: Iterable[int]) -> tuple[int, ...]:
+    """Basis of the fast points of any function whose top-degree monomials
+    are `top`: the a with sum a_i df_r/dx_i = 0."""
+    conditions: dict[int, int] = {}
+    for mu in top:
+        rest = mu
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            conditions[mu ^ bit] = conditions.get(mu ^ bit, 0) | bit
+    return _kernel(n, conditions.values())
+
+
+def _top(f: ANF) -> tuple[int, ...]:
+    """Masks of the top-degree monomials; ZeroFunctionError for the zero function."""
+    _int_degree(f)
+    return f.top_part().monomials()
+
+
+def _members(basis: tuple[int, ...]) -> frozenset[int]:
+    """The nonzero vectors of the span."""
+    return frozenset(xor_points(basis)[1:].tolist())
 
 
 @dataclass(frozen=True)
@@ -286,17 +341,13 @@ def dd_hyperplane_normals(f: ANF, threads: int = 1) -> frozenset[int]:
 
     `threads` is accepted for compatibility and has no effect.
     """
-    normals = set()
-    for forms, dd in _drop_chunks(f, 1):
-        normals.update(forms[i][0] for i in np.flatnonzero(dd))
-    return frozenset(normals)
+    return dd_hyperplane_normal_space(f).normals
 
 
 def dd_hyperplane_normal_space(f: ANF, threads: int = 1) -> HyperplaneNormalSpace:
-    """The normals with a basis of their span; `threads` has no effect."""
-    normals = dd_hyperplane_normals(f)
-    basis, dim = _span_closure_check(normals, f.n, "degree-drop hyperplane normals")
-    return HyperplaneNormalSpace(f.n, normals, basis, dim)
+    """The normals with the RREF basis of their span; `threads` has no effect."""
+    basis = hyperplane_normal_basis(f.n, _top(f))
+    return HyperplaneNormalSpace(f.n, _members(basis), basis, len(basis))
 
 
 @dataclass(frozen=True)
@@ -314,14 +365,11 @@ class FastPointSpace:
 
 
 def fast_points(f: ANF) -> FastPointSpace:
-    d = f.degree()
-    if d is NEG_INF:
+    """The fast points with the RREF basis of their span."""
+    if not f:
         raise ZeroFunctionError("fast points are undefined for the zero function")
-    dirs = np.arange(1, 1 << f.n, dtype=np.uint32)[:, None]
-    flags = _is_fast(f.truth_table(), dirs, int(d))
-    pts = frozenset(int(i) + 1 for i in np.flatnonzero(flags))
-    basis, dim = _span_closure_check(pts, f.n, "fast points")
-    return FastPointSpace(f.n, pts, basis, dim)
+    basis = fast_point_basis(f.n, _top(f))
+    return FastPointSpace(f.n, _members(basis), basis, len(basis))
 
 
 def is_fast_space(f: ANF, directions: Sequence[int]) -> bool:
@@ -364,17 +412,19 @@ class DualityReport:
 def check_dd_fast_duality(f: ANF, k_max: int = 1, threads: int = 1) -> DualityReport:
     """Verify: codim-k space with annihilator S is degree-drop for f iff S
     spans a fast space of the complement of f. Requires homogeneous f.
+
+    Hyperplanes (always checked) compare the normals kernel of f with the
+    fast-point kernel of the complement; k >= 2 scans every codim-k space.
     `threads` is accepted for compatibility and has no effect."""
     if not f or not f.is_homogeneous():
         raise NotHomogeneousError("duality check requires a nonzero homogeneous function")
     r = int(f.degree())
-    tt_c = f.complement().truth_table()
-    normals, cfast, mismatches = set(), set(), []
-    for k in range(1, max(1, k_max) + 1):  # hyperplanes are always checked
+    comp = f.complement()
+    normals = _members(hyperplane_normal_basis(f.n, f.monomials()))
+    cfast = _members(fast_point_basis(f.n, comp.monomials()))
+    mismatches = [(1, (a,)) for a in sorted(normals ^ cfast)]
+    for k in range(2, k_max + 1):
         for forms, dd in _drop_chunks(f, k):
-            fast = _is_fast(tt_c, np.array(forms, dtype=np.uint32), f.n - r)
-            if k == 1:
-                normals.update(forms[i][0] for i in np.flatnonzero(dd))
-                cfast.update(forms[i][0] for i in np.flatnonzero(fast))
+            fast = _is_fast(comp.truth_table(), np.array(forms, dtype=np.uint32), f.n - r)
             mismatches.extend((k, forms[i]) for i in np.flatnonzero(fast != dd))
-    return DualityReport(f.n, r, k_max, frozenset(normals), frozenset(cfast), tuple(mismatches))
+    return DualityReport(f.n, r, k_max, normals, cfast, tuple(mismatches))

@@ -45,8 +45,8 @@ class ConstantFunctionError(DegstabError, ValueError):
     """Operation undefined for constant functions."""
 
 
-class ClosureViolationError(DegstabError, AssertionError):
-    """A set that provably forms a linear space failed the closure check.
+class InvariantViolationError(DegstabError, AssertionError):
+    """A result the mathematics guarantees did not hold.
 
     This signals an implementation bug, never bad input.
     """

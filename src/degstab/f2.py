@@ -89,7 +89,8 @@ class F2Matrix:
         ncols = len(entries[0]) if entries else 0
         rows = []
         for e in entries:
-            assert len(e) == ncols
+            if len(e) != ncols:
+                raise DimensionMismatchError(f"row of length {len(e)} in a matrix of {ncols} columns")
             rows.append(sum((bit & 1) << j for j, bit in enumerate(e)))
         return cls(rows, ncols)
 

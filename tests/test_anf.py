@@ -1,15 +1,18 @@
 """Polynomial representation: parsing, transforms, degree, operations."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from degstab import ANF, NEG_INF
-from degstab.anf import format_monomial_masks, mobius_inplace
+from degstab.anf import MAX_VARS, format_monomial_masks, mobius_inplace
+from degstab.bits import MAX_TABLE_VARS
 from degstab.errors import (
     AnfSyntaxError,
+    InvalidLengthError,
     NotHomogeneousError,
     VariableIndexError,
 )
@@ -49,6 +52,27 @@ def test_parse_rejects_garbage():
         ANF.parse("15", 4)
     with pytest.raises(VariableIndexError):
         ANF.parse("x9", 4)
+
+
+def test_variable_ceiling_checked_before_allocation():
+    assert MAX_VARS == MAX_TABLE_VARS
+    n = MAX_VARS + 1
+    builders = [
+        lambda: ANF(n),
+        lambda: ANF.zero(n),
+        lambda: ANF.one(n),
+        lambda: ANF.from_monomials(n, [0b111]),
+        lambda: ANF.parse("x1*x2*x3", n),
+    ]
+    for build in builders:
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidLengthError, match=f"{MAX_VARS} variables"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak  # a 2**25-byte table was never allocated
 
 
 def test_text_round_trip_random():

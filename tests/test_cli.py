@@ -136,6 +136,17 @@ def test_construct_random(capsys):
     assert data["seed"] == 1 and data["monomials"] >= 1
 
 
+def test_construct_random_above_truth_table_ceiling(capsys):
+    # no ANF is built: the normals are solved for on the monomial masks
+    code, out, _ = run(capsys, ["construct", "--n", "40", "--r", "4",
+                                "--seed", "1", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["checks"] == {"witness-condition": "PASS",
+                              "hyperplane-normal-space": "PASS"}
+    assert data["monomials"] >= 40
+
+
 def test_construct_random_deterministic(capsys):
     argv = ["construct", "--n", "12", "--r", "4", "--seed", "7"]
     first = run(capsys, argv)
@@ -251,6 +262,17 @@ def test_out_of_range_arguments_are_usage_errors(capsys):
         assert err.startswith("error: ") and message in err, (argv, err)
 
 
+def test_usage_errors_survive_optimized_mode():
+    # python -O strips assert statements; validation must not rely on them
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "degstab.cli",
+         "analyze", "--n", "25", "--anf", "x1*x2*x3"],
+        capture_output=True, text=True, env=_env_for_package_under_test(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "24 variables" in proc.stderr
+
+
 def test_unknown_table_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as info:
         main(["catalog", "--table", "bogus"])
@@ -273,19 +295,23 @@ def _entry_point():
     return target.split(":")
 
 
-def _run_entry_point(argv):
-    # Run the entry point the way the generated console script does, in a
-    # fresh interpreter that imports the degstab under test.
-    module, func = _entry_point()
+def _env_for_package_under_test():
+    # a fresh interpreter started with this env imports the degstab under test
     env = dict(os.environ)
     src = str(Path(degstab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def _run_entry_point(argv):
+    # Run the entry point the way the generated console script does.
+    module, func = _entry_point()
     code = f"import sys; from {module} import {func}; sys.exit({func}())"
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_env_for_package_under_test(),
     )
 
 

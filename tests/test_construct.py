@@ -23,6 +23,7 @@ from degstab.errors import (
     NotHomogeneousError,
     PreconditionViolatedError,
     TooManyMonomialsError,
+    VariableIndexError,
 )
 from helpers import random_homogeneous, sparse_homogeneous
 
@@ -144,8 +145,10 @@ def test_conditions_reject_bad_input():
 
 
 def test_monomial_set_validates():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         MonomialSet(4, 2, (0b0111,))  # degree-3 mask in a degree-2 set
+    with pytest.raises(VariableIndexError):
+        MonomialSet(4, 2, (0b10001,))  # x5 in a 4-variable set
     ms = MonomialSet(4, 2, (0b0011, 0b1100))
     assert ms.to_anf() == ANF.parse("12+34", 4)
     assert str(ms) == "12+34"

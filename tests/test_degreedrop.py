@@ -16,6 +16,7 @@ from degstab import (
     k_membership,
     profile,
 )
+from degstab import degreedrop
 from degstab.degreedrop import (
     dd_hyperplane_normals,
     degree_drop_count,
@@ -26,11 +27,13 @@ from degstab.degreedrop import (
 from degstab.errors import (
     ConstantFunctionError,
     DependentDirectionsError,
+    InvariantViolationError,
     NotHomogeneousError,
     ZeroFunctionError,
 )
 from degstab.subspaces import LinearSubspace, parse_subspace
-from helpers import random_degree, random_homogeneous, random_nonconstant
+from degstab.f2 import random_invertible, rref_rows
+from helpers import random_degree, random_homogeneous, random_nonconstant, sparse_homogeneous
 
 
 def test_single_space_predicates():
@@ -150,6 +153,13 @@ def test_deg_stab_known_values():
     assert deg_stab(ANF.parse("12345", 5)) == 0
 
 
+def test_deg_stab_reports_a_broken_scan(monkeypatch):
+    # the guaranteed drop at codim n - r + 1 is checked, not asserted away
+    monkeypatch.setattr(degreedrop, "has_degree_drop_space", lambda f, k: False)
+    with pytest.raises(InvariantViolationError):
+        deg_stab(ANF.parse("123", 5))
+
+
 def test_deg_stab_rejects_constants():
     with pytest.raises(ConstantFunctionError):
         deg_stab(ANF.one(4))
@@ -196,6 +206,60 @@ def test_fast_points_match_oracle_and_closure():
     # every derivative of a constant is zero, and a zero derivative is fast
     for n in range(1, 7):
         assert fast_points(ANF.one(n)).points == frozenset(range(1, 1 << n))
+
+
+def _small_functions():
+    """Every nonzero function with n <= 3, and every nonzero homogeneous
+    function with n = 4."""
+    for n in range(1, 4):
+        for bits in range(1, 1 << (1 << n)):
+            yield ANF.from_monomials(n, [m for m in range(1 << n) if bits >> m & 1])
+    for r in range(5):
+        layer = [m for m in range(16) if m.bit_count() == r]
+        for bits in range(1, 1 << len(layer)):
+            yield ANF.from_monomials(4, [m for j, m in enumerate(layer) if bits >> j & 1])
+
+
+def test_kernels_match_oracles_exhaustively():
+    for f in _small_functions():
+        n, monomials = f.n, f.monomials()
+        normals = {
+            a for a in range(1, 1 << n) if oracles.is_degree_drop(n, monomials, [a])
+        }
+        assert dd_hyperplane_normal_space(f).normals == normals, f
+        assert fast_points(f).points == oracles.fast_point_set(n, monomials), f
+
+
+def test_kernels_match_scans_on_affine_images():
+    # the scan engine and the derivative kernel stay as independent routes
+    rng = random.Random(13)
+    for n in range(1, 11):
+        for _ in range(4):
+            r = rng.randint(1, n)
+            f = random_degree(rng, n, r) if rng.random() < 0.5 else sparse_homogeneous(rng, n, r, 6)
+            g = f.compose_affine(random_invertible(n, rng=rng), rng.getrandbits(n))
+            space = dd_hyperplane_normal_space(g)
+            scanned = {v.forms[0] for v in enumerate_degree_drop(g, 1)}
+            assert space.normals == scanned, g
+            fp = fast_points(g)
+            assert fp.points == {a for a in range(1, 1 << n) if is_fast_space(g, [a])}, g
+            for pts, basis, dim in ((space.normals, space.basis, space.dim),
+                                    (fp.points, fp.basis, fp.dim)):
+                assert len(pts) == (1 << dim) - 1 and len(basis) == dim
+                assert oracles.span_set(basis) == pts
+                assert basis == tuple(rref_rows(sorted(pts), n)[0][:dim])
+
+
+def test_normal_basis_above_the_truth_table_ceiling():
+    # 13 disjoint cubic blocks have degree stability 12, so no hyperplane
+    # drops; a variable shared by every monomial is the one normal; the
+    # unused x40 is the one fast point
+    n = 40
+    blocks = [0b111 << (3 * j) for j in range(13)]
+    assert degreedrop.hyperplane_normal_basis(n, blocks) == ()
+    shared = [m | 1 << 39 for m in blocks]
+    assert degreedrop.hyperplane_normal_basis(n, shared) == (1 << 39,)
+    assert degreedrop.fast_point_basis(n, blocks) == (1 << 39,)
 
 
 def test_fast_points_of_zero_function_rejected():

@@ -124,6 +124,8 @@ def test_from_entries_round_trip():
     entries = [[1, 0, 1], [0, 1, 1]]
     m = F2Matrix.from_entries(entries)
     assert [[m.entry(i, j) for j in range(3)] for i in range(2)] == entries
+    with pytest.raises(DimensionMismatchError):
+        F2Matrix.from_entries([[1, 0, 1], [0, 1]])
 
 
 def test_invertible_matrix_census():
