@@ -210,18 +210,6 @@ def _profile(rep_id: str, n: int, complement: bool,
     return degreedrop.profile(f, k_max=k_max).fingerprint()
 
 
-def _first_drop_codim(counts: tuple[int, ...]) -> int | None:
-    # counts = (c1, c2, new2, c3, new3, ...); plain counts sit at 0, 1, 3, ...
-    k = 1
-    idx = 0
-    while idx < len(counts):
-        if counts[idx] > 0:
-            return k
-        idx += 1 if k == 1 else 2
-        k += 1
-    return None
-
-
 class TableRow(NamedTuple):
     id: str
     computed: tuple[int, ...]
@@ -398,13 +386,13 @@ class DegStabCell(NamedTuple):
 def _max_stability(ids, n: int, complement: bool, k_max: int) -> int:
     best = 0
     for rep_id in ids:
-        counts = _profile(rep_id, n, complement, k_max)
-        first = _first_drop_codim(counts)
-        if first is None:
+        rep = representative(rep_id)
+        stab = degreedrop.deg_stab(rep.complement_anf(n) if complement else rep.anf(n))
+        if stab >= k_max:
             raise CatalogMismatchError(
-                [(rep_id, counts, f"drop expected within co-dimension {k_max}")]
+                [(rep_id, stab, f"drop expected within co-dimension {k_max}")]
             )
-        best = max(best, first - 1)
+        best = max(best, stab)
     return best
 
 
@@ -489,7 +477,7 @@ def _degstab_3_6() -> tuple[int, str]:
     small_ids = [rep.id for rep in load_catalog() if rep.n_native <= 7]
     codim2_stable = [
         rep_id for rep_id in small_ids
-        if _first_drop_codim(_profile(rep_id, 7, False, 3)) == 3
+        if degreedrop.deg_stab(representative(rep_id).anf(7)) == 2
     ]
     stable_reps_have_fast_points = any(
         degreedrop.fast_points(representative(rep_id).anf(7)).dim > 0

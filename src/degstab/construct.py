@@ -17,6 +17,7 @@ from .anf import ANF, format_monomial_masks
 from .bits import mask_to_vars, vars_to_mask
 from .errors import (
     DivisibilityError,
+    InvariantViolationError,
     NotHomogeneousError,
     PreconditionViolatedError,
     TooManyMonomialsError,
@@ -235,7 +236,10 @@ def randomized_construction(n: int, r: int, seed: int = 0, extend_prob: float = 
                 failed.add(m)
                 stuck = sum(1 for c in forbidden | failed if not c & bit_i)
                 max_failures = max(max_failures, stuck)
-                assert stuck <= fail_bound, "failed-candidate bound exceeded"
+                if stuck > fail_bound:
+                    raise InvariantViolationError(
+                        f"{stuck} failed candidates for x{i} exceed the bound {fail_bound}"
+                    )
                 continue
             break
         if m not in chosen_set:
@@ -262,7 +266,8 @@ def randomized_construction(n: int, r: int, seed: int = 0, extend_prob: float = 
         extension=tuple(extension),
         max_candidate_failures=max_failures,
     )
-    assert check_hyperplane_sufficient(result).ok, "construction must satisfy its certificate"
+    if not check_hyperplane_sufficient(result).ok:
+        raise InvariantViolationError("the construction fails its own certificate")
     return result
 
 
@@ -280,8 +285,14 @@ def circular_construction(n: int, r: int, k: int) -> ANF:
         start = j * (k + 1)
         masks.append(vars_to_mask(((start + t) % n) + 1 for t in range(r)))
     ms = MonomialSet(n, r, tuple(sorted(set(masks))))
-    assert len(ms.masks) == n // (k + 1)
-    assert check_pairwise_intersection(ms, r - k - 1)
+    if len(ms.masks) != n // (k + 1):
+        raise InvariantViolationError(
+            f"{len(ms.masks)} distinct monomials, expected n/(k+1) = {n // (k + 1)}"
+        )
+    if not check_pairwise_intersection(ms, r - k - 1):
+        raise InvariantViolationError(
+            f"two monomials share more than r-k-1 = {r - k - 1} variables"
+        )
     return ms.to_anf()
 
 

@@ -12,6 +12,8 @@ from functools import lru_cache
 from math import comb
 from typing import Optional
 
+from .errors import InvariantViolationError
+
 
 @lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int) -> int:
@@ -23,7 +25,8 @@ def gaussian_binomial(n: int, k: int) -> int:
     for i in range(k):
         num *= (1 << (n - i)) - 1
         den *= (1 << (k - i)) - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantViolationError(f"[{n} {k}]_2 = {num}/{den} is not an integer")
     return num // den
 
 
@@ -54,9 +57,14 @@ def dd_hyperplane_histogram(r: int, n: int) -> list[int]:
     hyperplanes. Entry 0 is k1_count; entry r-1 is always 0; the entries sum
     to 2**C(n,r) - 1."""
     hist = [hyperplane_histogram_entry(r, n, j) for j in range(r + 1)]
-    assert sum(hist) == (1 << comb(n, r)) - 1
-    if r >= 1:
-        assert hist[r - 1] == 0
+    if sum(hist) != (1 << comb(n, r)) - 1:
+        raise InvariantViolationError(
+            f"histogram for r={r}, n={n} sums to {sum(hist)}, not 2**C(n,r) - 1"
+        )
+    if r >= 1 and hist[r - 1]:
+        raise InvariantViolationError(
+            f"histogram entry r-1 for r={r}, n={n} is {hist[r - 1]}, not 0"
+        )
     return hist
 
 
@@ -98,7 +106,8 @@ def dd_probability(r: int, n: int) -> ProbabilityReport:
     r2 = None
     if r == 2:
         r2 = Fraction(((1 << n) - 1) * ((1 << (n - 1)) - 1), 3 * ((1 << comb(n, 2)) - 1))
-        assert r2 == exact
+        if r2 != exact:
+            raise InvariantViolationError(f"quadratic closed form {r2} != exact {exact} at n={n}")
     return ProbabilityReport(r, n, exact, lower, upper, approx, r2)
 
 

@@ -30,11 +30,37 @@ set {i in nu : nu - i in f_r} for normals and {i not in nu : nu + i in f_r}
 for fast points. For a homogeneous f and its complement these are the same
 masks under nu -> complement of nu, which is the hyperplane case of the
 degree-drop / fast-point duality.
+
+Counts, existence, deg_stab and profiles lift co-dimension k >= 1 from
+co-dimension k - 1 and enumerate no codim-k space; only
+enumerate_degree_drop and the k >= 2 duality check scan them. Let U be a
+codim-(k-1) space of dimension m = n - k + 1, and g the restriction f|_U as
+an ANF in U's m coordinates y. Every codim-k space S inside U is a
+hyperplane {a . y = 0} of U for exactly one nonzero a in F_2^m, and
+f|_S = g|_{a.y=0}.
+
+* Lift. S drops iff U drops or a lies in the normal kernel of g's weight-r
+  part. If deg g < r, then deg(g|_S) <= deg g < r. If deg g = r, the
+  weight-r part is g's top part and the normals rule above applies to g.
+  Both cases are the kernel of the conditions built from g's weight-r
+  coefficients: that part is zero when U drops, so the kernel is F_2^m.
+  So U contains c(U) = 2**dim(kernel) - 1 dropping codim-k spaces.
+* Counts. A codim-k space lies in exactly 2**k - 1 codim-(k-1) spaces, the
+  hyperplanes of its k-dimensional annihilator, so count_k = sum over U of
+  c(U) / (2**k - 1). Some codim-k space drops iff some c(U) > 0.
+* New. A codim-k space is not new iff it lies inside a dropping codim-(k-1)
+  space U, and then it drops. The spaces inside U are its children: U's
+  annihilator plus one form a on U's free columns, 2**m - 1 of them. So
+  new_k = count_k - |union of the children of the codim-(k-1) drops|.
+
+The codim-(k-1) scan also yields its own drop flags, so a profile scans
+co-dimensions 0..k_max-1 once each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -62,6 +88,9 @@ from .subspaces import (
 )
 
 _CHUNK = 8192
+# Points gathered per scan chunk (8192 rows at m = 6). Sized so that the
+# lift's wider codim-(k-1) rows take no more memory than the codim-k scan did.
+_POINTS = 1 << 19
 
 
 def _int_degree(f: ANF) -> int:
@@ -97,19 +126,121 @@ def _is_fast(tt: np.ndarray, dirs: np.ndarray, r: int) -> np.ndarray:
 
 
 def _drop_chunks(f: ANF, k: int):
-    """Yield (forms_chunk, drop_flags) over all codim-k subspaces, in order."""
+    """Yield (forms, drop_flags, anf_rows) over all codim-k subspaces, in order.
+
+    `anf_rows` holds the restrictions' ANF coefficients, one row of 2**(n-k)
+    per subspace. A chunk holds _POINTS points, or one row if that is more.
+    """
     r = _int_degree(f)
     tt = f.truth_table()
+    step = max(1, _POINTS >> (f.n - k))
     if count_codim(f.n, k) <= _CACHE_LIMIT:
         all_forms, all_bases = materialized_codim(f.n, k)
         chunks = (
-            (all_forms[s : s + _CHUNK], all_bases[s : s + _CHUNK])
-            for s in range(0, len(all_forms), _CHUNK)
+            (all_forms[s : s + step], all_bases[s : s + step])
+            for s in range(0, len(all_forms), step)
         )
     else:
-        chunks = iter_codim_chunks(f.n, k, _CHUNK)
+        chunks = iter_codim_chunks(f.n, k, step)
     for forms, bases in chunks:
-        yield forms, _degrees(mobius_inplace(tt[xor_points(bases)])) < r
+        rows = mobius_inplace(tt[xor_points(bases)])
+        yield forms, _degrees(rows) < r, rows
+
+
+@lru_cache(maxsize=None)
+def _normal_conditions(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The normal-kernel conditions on m variables, as gathers from the
+    weight-r coefficients: column j is the degree-(r+1) monomial nu_j, row t
+    its t-th variable i. Returns (index of nu_j - i, bit of i), each of shape
+    (r + 1, C(m, r + 1)); the bits in the smallest dtype that holds m bits.
+    """
+    nu = np.flatnonzero(popcount_table(m) == r + 1)
+    rest = nu.copy()
+    src, bit = [], []
+    for _ in range(r + 1):
+        low = rest & -rest
+        src.append(nu ^ low)
+        bit.append(low)
+        rest ^= low
+    src = np.array(src).reshape(r + 1, -1)
+    bit = np.array(bit, dtype=np.min_scalar_type((1 << m) - 1)).reshape(r + 1, -1)
+    src.setflags(write=False)
+    bit.setflags(write=False)
+    return src, bit
+
+
+def _normal_kernel_dims(rows: np.ndarray, r: int) -> np.ndarray:
+    """Per ANF row (last axis 2**m): dimension of the degree-drop normal
+    kernel of its weight-r part, i.e. of `hyperplane_normal_basis` with those
+    monomials as the top part, by one GF(2) elimination batched over rows.
+
+    A row whose weight-r part is zero (a restriction that already drops)
+    has no condition, so its kernel is all of F_2^m.
+    """
+    m = rows.shape[-1].bit_length() - 1
+    src, bit = _normal_conditions(m, r)
+    if not src.size:
+        return np.full(len(rows), m)
+    conds = np.zeros((len(rows), src.shape[1]), dtype=bit.dtype)
+    for s, b in zip(src, bit):
+        conds |= rows[:, s] * b
+    dims = np.full(len(rows), m)
+    at = np.arange(len(rows))
+    for j in range(m):
+        has = (conds >> j) & 1
+        pivot = conds[at, has.argmax(axis=1)]
+        conds ^= pivot[:, None] * has
+        dims -= (pivot >> j) & 1
+    return dims
+
+
+def _lifted(f: ANF, k: int):
+    """Yield (forms, drop_flags, drops_inside) over the codim-(k-1) spaces U,
+    chunked: drops_inside counts the degree-drop codim-k spaces inside each U.
+    """
+    if not 1 <= k <= f.n:
+        raise ValueError(f"co-dimension {k} out of range for n={f.n}")
+    r = _int_degree(f)
+    for forms, dd, rows in _drop_chunks(f, k - 1):
+        yield forms, dd, (1 << _normal_kernel_dims(rows, r)) - 1
+
+
+def _lifted_count(total: int, k: int) -> int:
+    """Codim-k drop count from the sum of drops_inside over every U."""
+    parents = (1 << k) - 1  # codim-(k-1) spaces containing one codim-k space
+    if total % parents:
+        raise InvariantViolationError(
+            f"{total} codim-{k} drops over all codim-{k - 1} spaces is not a"
+            f" multiple of {parents}, the number of parents of each"
+        )
+    return total // parents
+
+
+def _child_count(drops: list[tuple[int, ...]], n: int) -> int:
+    """Number of distinct codim-(j+1) spaces inside the codim-j spaces with
+    RREF annihilators `drops`.
+
+    A child of U adds one form a on U's free (non-pivot) columns. Reducing
+    U's rows that carry a's lowest bit by a puts the child in RREF; its rows,
+    sorted, are its key.
+    """
+    if not drops:
+        return 0
+    forms = np.array(drops, dtype=np.int64).reshape(len(drops), -1)
+    j = forms.shape[1]
+    cols = np.int64(1) << np.arange(n, dtype=np.int64)
+    pivots = np.bitwise_or.reduce(forms & -forms, axis=1)
+    free = np.broadcast_to(cols, (len(drops), n))[(pivots[:, None] & cols) == 0]
+    free = free.reshape(len(drops), n - j)
+    seen: set[tuple[int, ...]] = set()
+    step = max(1, _CHUNK >> (n - j))
+    for s in range(0, len(drops), step):
+        a = xor_points(free[s : s + step], dtype=np.int64)[:, 1:, None]
+        u = forms[s : s + step, None, :]
+        rows = np.where(u & (a & -a) != 0, u ^ a, u)
+        kids = np.concatenate([rows, a], axis=-1).reshape(-1, j + 1)
+        seen.update(map(tuple, np.sort(kids, axis=1).tolist()))
+    return len(seen)
 
 
 # -- single-subspace checks --------------------------------------------------
@@ -134,28 +265,27 @@ def enumerate_degree_drop(f: ANF, k: int, threads: int = 1) -> Iterator[LinearSu
 
     `threads` is accepted for compatibility and has no effect.
     """
-    for forms, dd in _drop_chunks(f, k):
+    for forms, dd, _ in _drop_chunks(f, k):
         for i in np.flatnonzero(dd):
             yield LinearSubspace(f.n, forms[i])
 
 
 def degree_drop_count(f: ANF, k: int, threads: int = 1) -> int:
-    """Number of degree-drop linear subspaces of co-dimension k.
+    """Number of degree-drop linear subspaces of co-dimension k, lifted from
+    the codim-(k-1) restrictions.
 
     `threads` is accepted for compatibility and has no effect.
     """
-    return sum(int(dd.sum()) for _, dd in _drop_chunks(f, k))
+    return _lifted_count(sum(int(c.sum()) for _, _, c in _lifted(f, k)), k)
 
 
 def has_degree_drop_space(f: ANF, k: int, threads: int = 1) -> bool:
-    """True iff some linear subspace of co-dimension k is degree-drop.
+    """True iff some linear subspace of co-dimension k is degree-drop, i.e.
+    some codim-(k-1) restriction has a nonzero normal kernel.
 
     `threads` is accepted for compatibility and has no effect.
     """
-    for _, dd in _drop_chunks(f, k):
-        if dd.any():
-            return True
-    return False
+    return any(c.any() for _, _, c in _lifted(f, k))
 
 
 def k_membership(f: ANF, k: int, threads: int = 1) -> bool:
@@ -201,55 +331,32 @@ class DegreeDropProfile:
         return [{"codim": r.codim, "count": r.count, "new": r.new} for r in self.rows]
 
 
-def _parent_forms(forms: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    """Canonical forms of the 2**k - 1 codim-(k-1) subspaces containing this one.
-
-    They correspond to the (k-1)-dimensional subspaces of the annihilator's
-    row space.
-    """
-    k = len(forms)
-    for c in range(1, 1 << k):
-        rows = []
-        for t in f2.kernel_basis_of_rows([c], k):
-            acc = 0
-            i = 0
-            while t:
-                if t & 1:
-                    acc ^= forms[i]
-                t >>= 1
-                i += 1
-            rows.append(acc)
-        red, rank, _ = f2.rref_rows(rows, n)
-        yield tuple(red[:rank])
-
-
 def profile(f: ANF, k_max: Optional[int] = None, threads: int = 1) -> DegreeDropProfile:
     """Count degree-drop subspaces per co-dimension 1..k_max.
 
     `new` counts those not contained in any degree-drop space of co-dimension
     one less (for co-dimension 1, new = count). Default k_max is
-    min(3, n - deg(f)). `threads` is accepted for compatibility and has no
-    effect.
+    min(3, n - deg(f)). Co-dimension k is read off the codim-(k-1) scan, so
+    no space of co-dimension k_max is enumerated. `threads` is accepted for
+    compatibility and has no effect.
     """
     r = _int_degree(f)
     if k_max is None:
         k_max = max(0, min(3, f.n - r))
-    rows = []
-    prev: Optional[set] = None
+    rows: list[ProfileRow] = []
     for k in range(1, k_max + 1):
         drops: list[tuple[int, ...]] = []
-        for forms, dd in _drop_chunks(f, k):
+        total = 0
+        for forms, dd, c in _lifted(f, k):
             drops.extend(forms[i] for i in np.flatnonzero(dd))
-        if k == 1 or prev is None:
-            new = len(drops)
-        else:
-            new = sum(
-                1
-                for v in drops
-                if not any(p in prev for p in _parent_forms(v, f.n))
+            total += int(c.sum())
+        if rows and len(drops) != rows[-1].count:
+            raise InvariantViolationError(
+                f"the codim-{k - 1} scan finds {len(drops)} drops, the lift"
+                f" {rows[-1].count}"
             )
-        rows.append(ProfileRow(k, len(drops), new))
-        prev = set(drops)
+        count = _lifted_count(total, k)
+        rows.append(ProfileRow(k, count, count - _child_count(drops, f.n)))
     return DegreeDropProfile(f.n, r, tuple(rows))
 
 
@@ -424,7 +531,7 @@ def check_dd_fast_duality(f: ANF, k_max: int = 1, threads: int = 1) -> DualityRe
     cfast = _members(fast_point_basis(f.n, comp.monomials()))
     mismatches = [(1, (a,)) for a in sorted(normals ^ cfast)]
     for k in range(2, k_max + 1):
-        for forms, dd in _drop_chunks(f, k):
+        for forms, dd, _ in _drop_chunks(f, k):
             fast = _is_fast(comp.truth_table(), np.array(forms, dtype=np.uint32), f.n - r)
             mismatches.extend((k, forms[i]) for i in np.flatnonzero(fast != dd))
     return DualityReport(f.n, r, k_max, normals, cfast, tuple(mismatches))

@@ -12,7 +12,7 @@ import numpy as np
 from . import f2
 from .anf import ANF, NEG_INF
 from .bits import popcount_table, vars_to_mask
-from .errors import NotQuadraticError, NotSymmetricError
+from .errors import InvariantViolationError, NotQuadraticError, NotSymmetricError
 
 
 # -- quadratics ------------------------------------------------------------------
@@ -41,7 +41,8 @@ def quadratic_t(f: ANF) -> int:
     """Half the rank of the quadratic coefficient matrix; f is equivalent to
     x1x2 + x3x4 + ... + x_{2t-1}x_{2t} (plus affine terms)."""
     rank = quadratic_coefficient_matrix(f).rank()
-    assert rank % 2 == 0, "alternating matrices have even rank"
+    if rank % 2:
+        raise InvariantViolationError(f"alternating matrix of odd rank {rank}")
     return rank // 2
 
 

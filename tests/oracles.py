@@ -9,6 +9,7 @@ integer masks with bit i-1 standing for variable x_i.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -90,6 +91,49 @@ def span_set(rows: Iterable[int]) -> frozenset[int]:
     return frozenset(members)
 
 
+def independent_rows(rows: Iterable[int]) -> list[int]:
+    """A maximal independent subset of the rows, greedily in the given order."""
+    out: list[int] = []
+    for v in rows:
+        if f2_rank(out + [v]) == len(out) + 1:
+            out.append(v)
+    return out
+
+
+def hyperplane_spans(span: frozenset[int]) -> list[frozenset[int]]:
+    """The subspaces of one dimension less inside a span: for a basis
+    s_1..s_k and each nonzero c in F_2^k, the combinations sum b_i s_i with
+    b . c = 0."""
+    basis = independent_rows(sorted(span))
+    combos = {b: 0 for b in range(1, 1 << len(basis))}
+    for b in combos:
+        for i, s in enumerate(basis):
+            if b >> i & 1:
+                combos[b] ^= s
+    return [
+        frozenset(v for b, v in combos.items() if (b & c).bit_count() % 2 == 0)
+        for c in range(1, 1 << len(basis))
+    ]
+
+
+def new_count(drops: Iterable[frozenset[int]], parent_drops: set[frozenset[int]]) -> int:
+    """Drop spans none of whose hyperplane spans is in parent_drops: the
+    degree-drop spaces inside no degree-drop space of co-dimension one less."""
+    return sum(1 for s in drops if not any(p in parent_drops for p in hyperplane_spans(s)))
+
+
+def drop_profile(n: int, monomials: Sequence[int], k_max: int) -> list[tuple[int, int, int]]:
+    """(codim, count, new) per co-dimension 1..k_max."""
+    rows = []
+    prev: set[frozenset[int]] = set()
+    for k in range(1, k_max + 1):
+        drops = degree_drop_spans(n, monomials, k)
+        rows.append((k, len(drops), new_count(drops, prev)))
+        prev = drops
+    return rows
+
+
+@lru_cache(maxsize=None)
 def all_codim_spaces(n: int, k: int) -> list[frozenset[int]]:
     """Every co-dimension-k linear subspace of F_2^n, one span of
     annihilator forms per space."""
@@ -188,15 +232,7 @@ def degree_drop_spans(n: int, monomials: Sequence[int], k: int) -> set[frozenset
     """Spans of annihilators of the co-dimension-k degree-drop linear spaces."""
     out = set()
     for span in all_codim_spaces(n, k):
-        basis = sorted(span)[:]
-        # any independent subset of size k generates the span
-        forms: list[int] = []
-        for v in basis:
-            if f2_rank(forms + [v]) == len(forms) + 1:
-                forms.append(v)
-            if len(forms) == k:
-                break
-        if is_degree_drop(n, monomials, forms):
+        if is_degree_drop(n, monomials, independent_rows(sorted(span))):
             out.add(span)
     return out
 

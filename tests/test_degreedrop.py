@@ -154,10 +154,13 @@ def test_deg_stab_known_values():
 
 
 def test_deg_stab_reports_a_broken_scan(monkeypatch):
-    # the guaranteed drop at codim n - r + 1 is checked, not asserted away
-    monkeypatch.setattr(degreedrop, "has_degree_drop_space", lambda f, k: False)
+    # the guaranteed drop at codim n - r + 1 is checked, not asserted away;
+    # deg_stab asks the lifted existence test once per co-dimension
+    asked = []
+    monkeypatch.setattr(degreedrop, "has_degree_drop_space", lambda f, k: asked.append(k))
     with pytest.raises(InvariantViolationError):
         deg_stab(ANF.parse("123", 5))
+    assert asked == [1, 2, 3]
 
 
 def test_deg_stab_rejects_constants():
@@ -228,6 +231,33 @@ def test_kernels_match_oracles_exhaustively():
         }
         assert dd_hyperplane_normal_space(f).normals == normals, f
         assert fast_points(f).points == oracles.fast_point_set(n, monomials), f
+
+
+def test_lift_matches_oracle_spans_exhaustively():
+    # counts, existence, new and deg_stab are lifted from co-dimension k - 1;
+    # the oracle restricts to every codim-k space symbolically
+    rng = random.Random(14)
+    fives = [random_nonconstant(rng, 5) for _ in range(4)]
+    fives += [sparse_homogeneous(rng, 5, r, 4) for r in (2, 3, 4)]
+    for f in [*_small_functions(), *fives]:
+        n = f.n
+        expected = oracles.drop_profile(n, f.monomials(), n)
+        got = profile(f, k_max=n)
+        assert [(row.codim, row.count, row.new) for row in got.rows] == expected, f
+        for k, count, _ in expected:
+            assert degree_drop_count(f, k) == count, (f, k)
+            assert has_degree_drop_space(f, k) == (count > 0), (f, k)
+        if f.degree() != 0:
+            assert deg_stab(f) == next(k for k, count, _ in expected if count) - 1, f
+
+
+def test_lift_rejects_out_of_range_codims():
+    f = ANF.parse("123", 5)
+    for k in (0, 6):
+        with pytest.raises(ValueError):
+            degree_drop_count(f, k)
+        with pytest.raises(ValueError):
+            has_degree_drop_space(f, k)
 
 
 def test_kernels_match_scans_on_affine_images():
