@@ -52,6 +52,8 @@ f|_S = g|_{a.y=0}.
   space U, and then it drops. The spaces inside U are its children: U's
   annihilator plus one form a on U's free columns, 2**m - 1 of them. So
   new_k = count_k - |union of the children of the codim-(k-1) drops|.
+  A child is named by its rank in the canonical order
+  (subspaces.codim_rank), so the union is a count of distinct int64s.
 
 The codim-(k-1) scan also yields its own drop flags, so a profile scans
 co-dimensions 0..k_max-1 once each.
@@ -71,6 +73,7 @@ from .bits import popcount_table, xor_points
 from .errors import (
     ConstantFunctionError,
     DependentDirectionsError,
+    EnumerationRangeError,
     InvariantViolationError,
     NotHomogeneousError,
     VariableIndexError,
@@ -81,6 +84,7 @@ from .subspaces import (
     LinearSubspace,
     Subspace,
     _CACHE_LIMIT,
+    codim_rank,
     count_codim,
     iter_codim_chunks,
     materialized_codim,
@@ -128,8 +132,10 @@ def _is_fast(tt: np.ndarray, dirs: np.ndarray, r: int) -> np.ndarray:
 def _drop_chunks(f: ANF, k: int):
     """Yield (forms, drop_flags, anf_rows) over all codim-k subspaces, in order.
 
-    `anf_rows` holds the restrictions' ANF coefficients, one row of 2**(n-k)
-    per subspace. A chunk holds _POINTS points, or one row if that is more.
+    `forms` is an int64 array of RREF annihilators, one row of k per
+    subspace. `anf_rows` holds the restrictions' ANF coefficients, one row
+    of 2**(n-k) per subspace. A chunk holds _POINTS points, or one row if
+    that is more.
     """
     r = _int_degree(f)
     tt = f.truth_table()
@@ -199,7 +205,7 @@ def _lifted(f: ANF, k: int):
     chunked: drops_inside counts the degree-drop codim-k spaces inside each U.
     """
     if not 1 <= k <= f.n:
-        raise ValueError(f"co-dimension {k} out of range for n={f.n}")
+        raise EnumerationRangeError(f"co-dimension must lie in 1..n={f.n}, got {k}")
     r = _int_degree(f)
     for forms, dd, rows in _drop_chunks(f, k - 1):
         yield forms, dd, (1 << _normal_kernel_dims(rows, r)) - 1
@@ -216,31 +222,36 @@ def _lifted_count(total: int, k: int) -> int:
     return total // parents
 
 
-def _child_count(drops: list[tuple[int, ...]], n: int) -> int:
+def _child_count(forms: np.ndarray, n: int) -> int:
     """Number of distinct codim-(j+1) spaces inside the codim-j spaces with
-    RREF annihilators `drops`.
+    RREF annihilators `forms`, an int64 array with one row of j per space.
 
     A child of U adds one form a on U's free (non-pivot) columns. Reducing
-    U's rows that carry a's lowest bit by a puts the child in RREF; its rows,
-    sorted, are its key.
+    U's rows that carry a's lowest bit by a puts the child in RREF; its rank
+    in the canonical order is its key.
     """
-    if not drops:
+    if not len(forms):
         return 0
-    forms = np.array(drops, dtype=np.int64).reshape(len(drops), -1)
     j = forms.shape[1]
     cols = np.int64(1) << np.arange(n, dtype=np.int64)
     pivots = np.bitwise_or.reduce(forms & -forms, axis=1)
-    free = np.broadcast_to(cols, (len(drops), n))[(pivots[:, None] & cols) == 0]
-    free = free.reshape(len(drops), n - j)
-    seen: set[tuple[int, ...]] = set()
+    free = np.broadcast_to(cols, (len(forms), n))[(pivots[:, None] & cols) == 0]
+    free = free.reshape(len(forms), n - j)
+    seen = []
     step = max(1, _CHUNK >> (n - j))
-    for s in range(0, len(drops), step):
+    for s in range(0, len(forms), step):
         a = xor_points(free[s : s + step], dtype=np.int64)[:, 1:, None]
         u = forms[s : s + step, None, :]
         rows = np.where(u & (a & -a) != 0, u ^ a, u)
-        kids = np.concatenate([rows, a], axis=-1).reshape(-1, j + 1)
-        seen.update(map(tuple, np.sort(kids, axis=1).tolist()))
-    return len(seen)
+        seen.append(_distinct(codim_rank(n, np.concatenate([rows, a], axis=-1))))
+    return len(_distinct(np.concatenate(seen)))
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, sorted: np.unique by a sort, because
+    np.unique's hash table (numpy 2.4) takes 20-35x longer on 8K int64s."""
+    x = np.sort(x, axis=None)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 # -- single-subspace checks --------------------------------------------------
@@ -266,8 +277,8 @@ def enumerate_degree_drop(f: ANF, k: int, threads: int = 1) -> Iterator[LinearSu
     `threads` is accepted for compatibility and has no effect.
     """
     for forms, dd, _ in _drop_chunks(f, k):
-        for i in np.flatnonzero(dd):
-            yield LinearSubspace(f.n, forms[i])
+        for rows in forms[dd].tolist():
+            yield LinearSubspace(f.n, tuple(rows))
 
 
 def degree_drop_count(f: ANF, k: int, threads: int = 1) -> int:
@@ -295,7 +306,7 @@ def k_membership(f: ANF, k: int, threads: int = 1) -> bool:
     is accepted for compatibility and has no effect.
     """
     if k < 1 or k > f.n:
-        raise ValueError(f"co-dimension {k} out of range for n={f.n}")
+        raise EnumerationRangeError(f"co-dimension must lie in 1..n={f.n}, got {k}")
     return not has_degree_drop_space(f, k)
 
 
@@ -345,11 +356,12 @@ def profile(f: ANF, k_max: Optional[int] = None, threads: int = 1) -> DegreeDrop
         k_max = max(0, min(3, f.n - r))
     rows: list[ProfileRow] = []
     for k in range(1, k_max + 1):
-        drops: list[tuple[int, ...]] = []
+        parts = []
         total = 0
         for forms, dd, c in _lifted(f, k):
-            drops.extend(forms[i] for i in np.flatnonzero(dd))
+            parts.append(forms[dd])
             total += int(c.sum())
+        drops = np.concatenate(parts)
         if rows and len(drops) != rows[-1].count:
             raise InvariantViolationError(
                 f"the codim-{k - 1} scan finds {len(drops)} drops, the lift"
@@ -532,6 +544,6 @@ def check_dd_fast_duality(f: ANF, k_max: int = 1, threads: int = 1) -> DualityRe
     mismatches = [(1, (a,)) for a in sorted(normals ^ cfast)]
     for k in range(2, k_max + 1):
         for forms, dd, _ in _drop_chunks(f, k):
-            fast = _is_fast(comp.truth_table(), np.array(forms, dtype=np.uint32), f.n - r)
-            mismatches.extend((k, forms[i]) for i in np.flatnonzero(fast != dd))
+            fast = _is_fast(comp.truth_table(), forms.astype(np.uint32), f.n - r)
+            mismatches.extend((k, tuple(rows)) for rows in forms[fast != dd].tolist())
     return DualityReport(f.n, r, k_max, normals, cfast, tuple(mismatches))

@@ -21,6 +21,10 @@ class DimensionMismatchError(DegstabError, ValueError):
     """Operands live in different numbers of variables."""
 
 
+class EnumerationRangeError(DegstabError, ValueError):
+    """Co-dimension, chunk size or subspace rank outside what enumeration supports."""
+
+
 class ZeroDirectionError(DegstabError, ValueError):
     """Derivative direction is the zero vector."""
 

@@ -4,11 +4,26 @@ A subspace of co-dimension k is stored by its annihilator: k independent
 linear forms in reduced row echelon form (each form an int mask, bit j-1 <->
 variable x_j). This representative is canonical, so equality of subspaces is
 tuple equality of their forms.
+
+Enumeration visits the [n k]_2 codim-k subspaces in one canonical order,
+numpy block by block. A pivot block holds the RREF forms with one pivot
+combination; blocks come in lexicographic order of the combinations. Inside
+a block, row i has a free slot at every non-pivot column above its pivot,
+and a form is named by its free-bit integer g: bit j of g fills the j-th
+slot, slots taken row-major with columns ascending. The block's forms and
+solution bases are built at once by scattering the bits of arange(2**slots)
+into the slots, and blocks longer than the chunk size are split.
+
+This order is rank order: codim_rank gives each subspace its position, the
+offset of its pivot combination (the sizes of the blocks before it) plus
+its free-bit integer. The profile's `new` step names subspaces by rank to
+deduplicate them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,7 +35,7 @@ from . import f2
 from .anf import ANF
 from .bits import mask_to_vars, parity_table, xor_points
 from .counting import gaussian_binomial
-from .errors import AnfSyntaxError, VariableIndexError
+from .errors import AnfSyntaxError, EnumerationRangeError, VariableIndexError
 
 
 def _canonical_forms(forms: Sequence[int], n: int) -> tuple[int, ...]:
@@ -209,109 +224,199 @@ def indicator(space: Subspace) -> ANF:
 
 # -- enumeration -----------------------------------------------------------
 
+# Solution bases are uint32 point masks.
+MAX_ENUM_VARS = 32
+_INT64_MAX = (1 << 63) - 1
+
 
 def count_codim(n: int, k: int) -> int:
     return gaussian_binomial(n, k)
 
 
-def _free_positions(n: int, pivots: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(row, column) slots that may hold free bits, row-major, columns ascending."""
-    pivot_set = set(pivots)
-    slots = []
-    for i, p in enumerate(pivots):
-        for c in range(p + 1, n):
-            if c not in pivot_set:
-                slots.append((i, c))
-    return slots
+def _check_codim(n: int, k: int) -> None:
+    if not 0 <= n <= MAX_ENUM_VARS:
+        raise EnumerationRangeError(
+            f"subspace enumeration supports 0 <= n <= {MAX_ENUM_VARS}, got n={n}"
+        )
+    if not 0 <= k <= n:
+        raise EnumerationRangeError(f"co-dimension must lie in 0..n={n}, got {k}")
 
 
-def _iter_rref_forms(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All canonical k x n RREF annihilator matrices, deterministic order:
+# Pivot blocks are built in pieces of at least this many rows, so that tiny
+# chunks (one row per chunk at m >= 19 in the scan engine) are cut from a
+# shared piece instead of each paying some twenty numpy calls. A piece of
+# forms and bases takes at most 1 MB.
+_PIECE = 4096
 
-    pivot-column combinations lexicographically, then free-bit assignments in
-    increasing binary order (bits filled row-major, columns ascending).
+
+def _pivot_blocks(n: int, k: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(forms, bases) of every codim-k subspace in canonical order, one pivot
+    block at a time, blocks longer than size split into pieces.
+
+    A pivot block holds the RREF forms with one pivot combination: row i is
+    1 << pivots[i] plus free bits at the non-pivot columns above its pivot.
+    Free-bit integer g sets those slots, bit j of g on the j-th slot taken
+    row-major with columns ascending, so the block's rows run over
+    g = 0 .. 2**slots - 1. The basis vector of free column c is 1 << c plus
+    1 << pivots[i] for every row i with a free bit at c.
     """
-    if k == 0:
-        yield ()
-        return
-    if k < 0 or k > n:
-        raise ValueError(f"codimension {k} out of range for n={n}")
     for pivots in itertools.combinations(range(n), k):
-        base = [1 << p for p in pivots]
-        slots = _free_positions(n, pivots)
-        nslots = len(slots)
-        for g in range(1 << nslots):
-            rows = base.copy()
-            gg = g
-            while gg:
-                j = (gg & -gg).bit_length() - 1
-                i, c = slots[j]
-                rows[i] |= 1 << c
-                gg &= gg - 1
-            yield tuple(rows)
+        free = [c for c in range(n) if c not in pivots]
+        slots = [(i, c) for i, p in enumerate(pivots) for c in free if c > p]
+        for start in range(0, 1 << len(slots), size):
+            g = np.arange(start, min(1 << len(slots), start + size), dtype=np.int64)
+            forms = np.empty((k, len(g)), dtype=np.int64)
+            forms[:] = np.array([1 << p for p in pivots], dtype=np.int64)[:, None]
+            bases = np.empty((n - k, len(g)), dtype=np.int64)
+            bases[:] = np.array([1 << c for c in free], dtype=np.int64)[:, None]
+            for j, (i, c) in enumerate(slots):
+                bit = (g >> j) & 1
+                forms[i] |= bit << c
+                bases[free.index(c)] |= bit << pivots[i]
+            yield forms.T, bases.T.astype(np.uint32)
 
 
-def _kernel_from_rref(n: int, pivots: tuple[int, ...], rows: tuple[int, ...]) -> list[int]:
-    # same result as f2.kernel_basis_of_rows but skips re-reducing
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(n):
-        if c in pivot_set:
-            continue
-        v = 1 << c
-        for i, p in enumerate(pivots):
-            if (rows[i] >> c) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
+def _chunks(n: int, k: int, chunk_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pivot blocks regrouped into chunks of exactly chunk_size rows,
+    the last one shorter."""
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    have = 0
+    for forms, bases in _pivot_blocks(n, k, max(chunk_size, _PIECE)):
+        while len(forms):
+            take = min(len(forms), chunk_size - have)
+            parts.append((forms[:take], bases[:take]))
+            forms, bases = forms[take:], bases[take:]
+            have += take
+            if have == chunk_size:
+                yield _join(parts)
+                parts, have = [], 0
+    if parts:
+        yield _join(parts)
+
+
+def _join(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    forms = np.concatenate([f for f, _ in parts])
+    bases = np.concatenate([b for _, b in parts])
+    return forms, bases
 
 
 def enumerate_codim(n: int, k: int) -> Iterator[LinearSubspace]:
-    """All linear subspaces of co-dimension k, canonical order; [n k]_2 of them."""
-    for rows in _iter_rref_forms(n, k):
-        yield LinearSubspace(n, rows)
+    """All linear subspaces of co-dimension k, canonical order; [n k]_2 of
+    them. Bad arguments raise here, not on first next()."""
+    chunks = iter_codim_chunks(n, k)
+    return (LinearSubspace(n, tuple(row)) for forms, _ in chunks for row in forms.tolist())
 
 
 def iter_codim_chunks(
     n: int, k: int, chunk_size: int = 8192
-) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream (forms, solution bases) over all codim-k subspaces, chunked.
 
-    Yields lists of forms tuples together with a (len, n-k) uint32 array of
-    the matching canonical solution bases. Order matches enumerate_codim.
+    Yields a (len, k) int64 array of RREF forms, one row per subspace,
+    together with a (len, n-k) uint32 array of the matching canonical
+    solution bases; every chunk but the last has chunk_size rows. Order
+    matches enumerate_codim. Bad arguments raise here, not on first next().
     """
-    forms_buf: list[tuple[int, ...]] = []
-    bases_buf: list[list[int]] = []
-    for rows in _iter_rref_forms(n, k):
-        pivots = tuple((r & -r).bit_length() - 1 for r in rows)
-        forms_buf.append(rows)
-        bases_buf.append(_kernel_from_rref(n, pivots, rows))
-        if len(forms_buf) >= chunk_size:
-            yield forms_buf, np.array(bases_buf, dtype=np.uint32).reshape(len(forms_buf), n - k)
-            forms_buf, bases_buf = [], []
-    if forms_buf:
-        yield forms_buf, np.array(bases_buf, dtype=np.uint32).reshape(len(forms_buf), n - k)
+    _check_codim(n, k)
+    if chunk_size < 1:
+        raise EnumerationRangeError(f"chunk_size must be at least 1, got {chunk_size}")
+    return _chunks(n, k, chunk_size)
 
 
 _CACHE_LIMIT = 250_000
 
 
 @lru_cache(maxsize=16)
-def materialized_codim(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Cached full enumeration for small [n k]_2; used by the scan engine."""
+def materialized_codim(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached full enumeration for small [n k]_2, as read-only (forms, bases)
+    arrays shaped like one iter_codim_chunks chunk; used by the scan engine."""
+    _check_codim(n, k)
     if count_codim(n, k) > _CACHE_LIMIT:
-        raise ValueError(
+        raise EnumerationRangeError(
             f"{count_codim(n, k)} subspaces of co-dimension {k} in F_2^{n} exceed"
             f" the cache limit {_CACHE_LIMIT}; stream them with iter_codim_chunks"
         )
-    all_forms: list[tuple[int, ...]] = []
-    arrays = []
-    for forms, bases in iter_codim_chunks(n, k, chunk_size=1 << 15):
-        all_forms.extend(forms)
-        arrays.append(bases)
-    bases = np.concatenate(arrays, axis=0) if arrays else np.zeros((0, n - k), np.uint32)
+    forms, bases = next(_chunks(n, k, count_codim(n, k)))
+    forms.setflags(write=False)
     bases.setflags(write=False)
-    return tuple(all_forms), bases
+    return forms, bases
+
+
+@lru_cache(maxsize=None)
+def _pivot_offsets(n: int, k: int) -> np.ndarray:
+    """(k, n + 1) int64 table for codim_rank: entry [i, x] sums, over the
+    pivots q < x of row i, the ways to fill rows i..k-1, free bits included,
+    with row i's pivot at q.
+
+    Row i with pivot q has n - k + i - q free slots. The forms whose pivot
+    combination comes before a form's with pivots p, and first differs from
+    it at row i, number table[i, p_i] - table[i, p_(i-1) + 1] times 2 to the
+    free slots of rows 0..i-1.
+    """
+    table = np.zeros((k, n + 1), dtype=np.int64)
+    after = [1] * (n + 1)  # after[q + 1]: ways to fill the later rows above pivot q
+    for i in range(k - 1, -1, -1):
+        # row i's pivot q lies in i .. n - k + i: rows 0..i-1 need i columns
+        # below it and rows i+1..k-1 need k - 1 - i above it
+        weights = [
+            (1 << (n - k + i - q)) * after[q + 1] if i <= q <= n - k + i else 0
+            for q in range(n)
+        ]
+        prefix = list(itertools.accumulate(weights, initial=0))
+        table[i] = prefix
+        after = [prefix[n] - prefix[t] for t in range(n + 1)]
+    return table
+
+
+def codim_rank(n: int, forms) -> np.ndarray:
+    """Position of each codim-k subspace in the canonical order, vectorized.
+
+    `forms` has shape (..., k): the RREF annihilator rows of each subspace,
+    in any row order. The rank is the offset of the forms' pivot combination
+    (the number of subspaces in the pivot blocks before it, which come
+    lexicographically first) plus their free-bit integer, so
+    codim_rank(n, chunk forms) over a whole enumeration is 0, 1, 2, ...
+    Returns an int64 array of shape (...). Ranks run below [n k]_2; a
+    co-dimension whose [n k]_2 does not fit int64 raises.
+    """
+    forms = np.asarray(forms, dtype=np.int64)
+    if forms.ndim < 1:
+        raise EnumerationRangeError("forms need a last axis of length k")
+    k = forms.shape[-1]
+    _check_codim(n, k)
+    if count_codim(n, k) > _INT64_MAX:
+        raise EnumerationRangeError(
+            f"[{n} {k}]_2 = {count_codim(n, k)} subspaces exceed the int64 rank"
+            f" limit 2**63 - 1"
+        )
+    flat = forms.reshape(math.prod(forms.shape[:-1]), k)
+    if ((flat <= 0) | (flat >> n != 0)).any():
+        raise VariableIndexError(f"forms must be nonzero masks of n={n} bits")
+    # sort each subspace's rows by pivot (lowest set bit)
+    keyed = np.sort(np.bitwise_count((flat & -flat) - 1).astype(np.int64) << n | flat, axis=1)
+    piv = keyed >> n
+    flat = keyed & ((1 << n) - 1)
+    low = np.int64(1) << piv
+    pivot_mask = np.bitwise_or.reduce(low, axis=1)
+    if ((flat & pivot_mask[:, None]) != low).any() or (np.bitwise_count(pivot_mask) != k).any():
+        raise EnumerationRangeError("forms are not the RREF annihilator of a codim-k subspace")
+    table = _pivot_offsets(n, k)
+    rank = np.zeros(len(flat), dtype=np.int64)
+    shift = np.zeros(len(flat), dtype=np.int64)
+    lower = np.zeros(len(flat), dtype=np.int64)  # previous pivot + 1
+    for i in range(k):
+        p = piv[:, i]
+        rank += (table[i, p] - table[i, lower]) << shift
+        # free bits of row i: the bits above its pivot, less the (zero)
+        # columns of the later pivots, removed from the top down
+        v = flat[:, i] >> (p + 1)
+        for j in range(k - 1, i, -1):
+            below = (np.int64(1) << (piv[:, j] - p - 1)) - 1
+            v = (v & below) | ((v >> 1) & ~below)
+        rank += v << shift
+        shift += n - k + i - p
+        lower = p + 1
+    return rank.reshape(forms.shape[:-1])
 
 
 # -- text form ---------------------------------------------------------------

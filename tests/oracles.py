@@ -144,6 +144,47 @@ def all_codim_spaces(n: int, k: int) -> list[frozenset[int]]:
     return sorted(seen, key=sorted)
 
 
+# -- canonical enumeration order -----------------------------------------------
+
+
+def _iter_rref_forms(n: int, k: int):
+    """All canonical k x n RREF annihilator matrices, in the package's order:
+
+    pivot-column combinations lexicographically, then free-bit assignments in
+    increasing binary order (bits filled row-major, columns ascending).
+    """
+    for pivots in combinations(range(n), k):
+        # (row, column) slots that may hold free bits, row-major
+        slots = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        for g in range(1 << len(slots)):
+            rows = [1 << p for p in pivots]
+            for j, (i, c) in enumerate(slots):
+                if g >> j & 1:
+                    rows[i] |= 1 << c
+            yield tuple(rows)
+
+
+def _kernel_from_rref(n: int, rows: Sequence[int]) -> list[int]:
+    """Solution basis of an RREF annihilator: one vector per free column c,
+    increasing, with bit c and the pivots of the rows that carry c."""
+    pivots = [(r & -r).bit_length() - 1 for r in rows]
+    basis = []
+    for c in range(n):
+        if c in pivots:
+            continue
+        v = 1 << c
+        for r, p in zip(rows, pivots):
+            if r >> c & 1:
+                v |= 1 << p
+        basis.append(v)
+    return basis
+
+
+def codim_forms_and_bases(n: int, k: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """(forms, solution basis) of every codim-k subspace, in canonical order."""
+    return [(rows, _kernel_from_rref(n, rows)) for rows in _iter_rref_forms(n, k)]
+
+
 # -- symbolic restriction -------------------------------------------------------
 
 

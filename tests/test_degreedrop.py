@@ -251,6 +251,19 @@ def test_lift_matches_oracle_spans_exhaustively():
             assert deg_stab(f) == next(k for k, count, _ in expected if count) - 1, f
 
 
+def test_profile_new_matches_the_containment_oracle():
+    # `new` dedups the children of the codim-(k-1) drops by their rank; the
+    # oracle tests every drop's hyperplane spans against the parent drops
+    rng = random.Random(15)
+    for i in range(16):
+        n = rng.randint(3, 6)
+        r = rng.randint(2, n - 1)
+        f = random_degree(rng, n, r) if i % 2 else sparse_homogeneous(rng, n, r, 3)
+        k_max = min(3, n)
+        got = [(row.codim, row.count, row.new) for row in profile(f, k_max).rows]
+        assert got == oracles.drop_profile(n, f.monomials(), k_max), f
+
+
 def test_lift_rejects_out_of_range_codims():
     f = ANF.parse("123", 5)
     for k in (0, 6):

@@ -1,11 +1,13 @@
 """Property tests: hyperplane normals, fast points and profiles under affine
-maps, and the lifted codim-k engine against a direct scan.
+maps, the lifted codim-k engine against a direct scan, and subspace ranks.
 
 For g(x) = f(Mx + a) with M invertible, a hyperplane b.y = c of f pulls
 back to (M^T b).x = c', and D_a' g(x) = (D_{Ma'} f)(Mx + a). So the normals
 of g are M^T times those of f and its fast points are M^-1 times those of f,
 and M maps the degree-drop spaces of g onto those of f, so the profiles agree.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -24,8 +26,8 @@ from degstab import (
     r_k,
 )
 from degstab.counting import gaussian_binomial
-from degstab.f2 import random_invertible
-from degstab.subspaces import _CACHE_LIMIT, count_codim
+from degstab.f2 import random_invertible, rref_rows
+from degstab.subspaces import _CACHE_LIMIT, codim_rank, count_codim
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -132,3 +134,48 @@ def test_new_codim2_closed_form(case):
     n, r1 = g.n, dd_hyperplane_normal_space(g).dim
     row = profile(g, 2).rows[1]
     assert row.new == row.count - gaussian_binomial(n, 2) + 4**r1 * gaussian_binomial(n - r1, 2)
+
+
+@st.composite
+def rankable_spaces(draw, batch=1):
+    """(n, list of RREF annihilators, seed): `batch` codim-k spaces of
+    F_2^n, n <= 24, at a k whose [n k]_2 fits int64 ranks."""
+    n = draw(st.integers(1, 24))
+    k = draw(st.sampled_from([k for k in range(n + 1) if count_codim(n, k) < 2**63]))
+    spaces = []
+    for _ in range(batch):
+        rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
+        hypothesis.assume(oracles.f2_rank(rows) == k)
+        spaces.append(tuple(rref_rows(rows, n)[0]))
+    return n, spaces, draw(st.integers(0, 2**32))
+
+
+@PROPERTY
+@given(rankable_spaces())
+def test_codim_rank_ignores_row_order_and_basis(case):
+    n, [forms], seed = case
+    k = len(forms)
+    rank = codim_rank(n, forms)
+    assert 0 <= rank < count_codim(n, k)
+    rng = random.Random(seed)
+    assert codim_rank(n, rng.sample(forms, k)) == rank
+    if k:
+        # another basis of the same annihilator, reduced again
+        mix = random_invertible(k, rng=rng).rows
+        other = [0] * k
+        for i, m in enumerate(mix):
+            for j in range(k):
+                if m >> j & 1:
+                    other[i] ^= forms[j]
+        assert codim_rank(n, rref_rows(other, n)[0]) == rank
+
+
+@PROPERTY
+@given(rankable_spaces(batch=6))
+def test_codim_rank_batches_and_separates_spaces(case):
+    n, spaces, _ = case
+    ranks = codim_rank(n, np.array(spaces, dtype=np.int64).reshape(len(spaces), -1))
+    assert ranks.tolist() == [int(codim_rank(n, forms)) for forms in spaces]
+    for a, ra in zip(spaces, ranks.tolist()):
+        for b, rb in zip(spaces, ranks.tolist()):
+            assert (ra == rb) == (a == b)

@@ -3,15 +3,17 @@
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 
 import oracles
 from degstab import ANF, count_codim, enumerate_codim, format_subspace, parse_subspace, restrict
 from degstab.bits import xor_points
-from degstab.errors import AnfSyntaxError, VariableIndexError
+from degstab.errors import AnfSyntaxError, DegstabError, EnumerationRangeError, VariableIndexError
 from degstab.subspaces import (
     AffineSubspace,
     LinearSubspace,
+    codim_rank,
     contains,
     indicator,
     iter_codim_chunks,
@@ -73,12 +75,92 @@ def test_iter_codim_chunks_matches_enumeration():
     flat_forms = []
     flat_points = []
     for forms, bases in iter_codim_chunks(n, k, chunk_size=100):
+        assert forms.shape == (len(bases), k)
         assert bases.shape == (len(forms), n - k)
-        flat_forms.extend(forms)
+        flat_forms.extend(map(tuple, forms.tolist()))
         flat_points.extend(xor_points(bases).tolist())  # one row per subspace
     spaces = list(enumerate_codim(n, k))
     assert flat_forms == [v.forms for v in spaces]
     assert flat_points == [v.points().tolist() for v in spaces]
+
+
+# every (n, k) with n <= 7: 0 <= k <= n, the smallest sizes included
+ORDER_SIZES = [(n, k) for n in range(8) for k in range(n + 1)]
+
+
+def _rows(forms, bases):
+    assert forms.dtype == np.int64 and bases.dtype == np.uint32
+    return list(zip(map(tuple, forms.tolist()), bases.tolist()))
+
+
+def test_iter_codim_chunks_matches_the_order_oracle():
+    # chunk sizes 1, 7 and 100 split the pivot blocks at every offset
+    for n, k in ORDER_SIZES:
+        expected = oracles.codim_forms_and_bases(n, k)
+        for chunk_size in (1, 7, 100):
+            got, sizes = [], []
+            for forms, bases in iter_codim_chunks(n, k, chunk_size):
+                assert forms.shape == (len(bases), k) and bases.shape == (len(forms), n - k)
+                got += _rows(forms, bases)
+                sizes.append(len(forms))
+            assert got == expected, (n, k, chunk_size)
+            assert set(sizes[:-1]) <= {chunk_size} and 0 < sizes[-1] <= chunk_size
+
+
+def test_materialized_codim_matches_the_order_oracle():
+    for n, k in ORDER_SIZES:
+        forms, bases = materialized_codim(n, k)
+        assert not forms.flags.writeable and not bases.flags.writeable
+        assert _rows(forms, bases) == oracles.codim_forms_and_bases(n, k), (n, k)
+
+
+def test_enumerate_codim_matches_the_order_oracle():
+    for n, k in ORDER_SIZES:
+        spaces = list(enumerate_codim(n, k))
+        got = [(v.forms, v.solution_basis()) for v in spaces]
+        assert got == oracles.codim_forms_and_bases(n, k), (n, k)
+        assert all(type(a) is int for v in spaces for a in v.forms)
+
+
+def test_codim_rank_is_the_enumeration_index():
+    for n, k in ORDER_SIZES:
+        forms = [rows for rows, _ in oracles.codim_forms_and_bases(n, k)]
+        ranks = codim_rank(n, np.array(forms, dtype=np.int64).reshape(len(forms), k))
+        assert ranks.tolist() == list(range(count_codim(n, k))), (n, k)
+    for n, k in ((9, 2), (9, 7), (10, 2)):
+        forms, _ = materialized_codim(n, k)
+        assert (codim_rank(n, forms) == np.arange(count_codim(n, k))).all(), (n, k)
+    assert codim_rank(5, (0b00011, 0b01100)).shape == ()
+
+
+def test_enumeration_rejects_bad_arguments_at_call_time():
+    # no next(): the generators check their arguments when called
+    for n, k in ((4, -1), (4, 5)):
+        for call in (iter_codim_chunks, enumerate_codim, materialized_codim):
+            with pytest.raises(EnumerationRangeError, match=r"0\.\.n=4"):
+                call(n, k)
+    for size in (0, -3):
+        with pytest.raises(EnumerationRangeError, match="at least 1"):
+            iter_codim_chunks(4, 2, chunk_size=size)
+    with pytest.raises(EnumerationRangeError, match="n <= 32"):
+        iter_codim_chunks(33, 1)
+    assert issubclass(EnumerationRangeError, DegstabError)
+
+
+def test_codim_rank_rejects_what_it_cannot_rank():
+    # [24 12]_2 is about 2**144 and does not fit int64 ranks
+    with pytest.raises(EnumerationRangeError, match=r"2\*\*63 - 1"):
+        codim_rank(24, [1 << i for i in range(12)])
+    with pytest.raises(EnumerationRangeError, match=r"0\.\.n=3"):
+        codim_rank(3, (1, 2, 4, 8))
+    with pytest.raises(EnumerationRangeError, match="RREF"):
+        codim_rank(4, (0b0011, 0b0010))  # pivot column 1 set in row 0
+    with pytest.raises(EnumerationRangeError, match="RREF"):
+        codim_rank(4, (0b0011, 0b0011))  # one pivot twice
+    with pytest.raises(VariableIndexError):
+        codim_rank(4, (0b10000,))
+    with pytest.raises(VariableIndexError):
+        codim_rank(4, (0,))
 
 
 def test_materialized_cache_consistent():
