@@ -57,6 +57,20 @@ def mobius_inplace(bits: np.ndarray) -> np.ndarray:
     return bits
 
 
+def _check_directions(n: int, directions: Iterable[int]) -> list[int]:
+    """The directions as ints, each checked nonzero and inside F_2^n, and
+    all of them checked linearly independent."""
+    dirs = [int(a) for a in directions]
+    for a in dirs:
+        if a == 0:
+            raise ZeroDirectionError("directions must be nonzero")
+        if a < 0 or a >> n:
+            raise VariableIndexError(f"direction {a:#x} outside F_2^{n}")
+    if f2.rank_of_rows(dirs, n) != len(dirs):
+        raise DependentDirectionsError("directions must be linearly independent")
+    return dirs
+
+
 def _check_vars(n: int) -> None:
     """Reject n before anything allocates its 2**n bytes."""
     if not 0 <= n <= MAX_VARS:
@@ -213,25 +227,14 @@ class ANF:
 
     def derivative(self, a: int) -> "ANF":
         """Discrete derivative x -> f(x) + f(x + a)."""
-        if a == 0:
-            raise ZeroDirectionError("derivative direction must be nonzero")
-        if a < 0 or a >> self.n:
-            raise VariableIndexError(f"direction {a:#x} outside F_2^{self.n}")
+        _check_directions(self.n, [a])
         tt = self.truth_table()
         idx = np.arange(1 << self.n, dtype=np.uint32) ^ np.uint32(a)
         return ANF.from_truth_table(tt ^ tt[idx])
 
     def iterated_derivative(self, directions: Sequence[int]) -> "ANF":
-        dirs = [int(a) for a in directions]
-        for a in dirs:
-            if a == 0:
-                raise ZeroDirectionError("derivative direction must be nonzero")
-            if a < 0 or a >> self.n:
-                raise VariableIndexError(f"direction {a:#x} outside F_2^{self.n}")
-        if f2.rank_of_rows(dirs, self.n) != len(dirs):
-            raise DependentDirectionsError("directions must be linearly independent")
         g = self
-        for a in dirs:
+        for a in _check_directions(self.n, directions):
             g = g.derivative(a)
         return g
 
@@ -293,19 +296,7 @@ class ANF:
 
     def to_text(self) -> str:
         """Deterministic text form; parse(to_text(), n) round-trips."""
-        masks = self.monomials()
-        if not masks:
-            return "0"
-        digits_ok = self.n <= 9 and 1 not in masks
-        parts = []
-        for m in masks:  # ascending mask order
-            if m == 0:
-                parts.append("1")
-            elif digits_ok:
-                parts.append("".join(str(v) for v in mask_to_vars(m)))
-            else:
-                parts.append("*".join(f"x{v}" for v in mask_to_vars(m)))
-        return "+".join(parts)
+        return format_monomial_masks(self.n, self.monomials())
 
     def __str__(self) -> str:
         return self.to_text()

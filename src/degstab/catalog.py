@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from . import counting, degreedrop
 from .anf import ANF
-from .errors import CatalogMismatchError
+from .errors import CatalogMismatchError, InvariantViolationError
 
 CATALOG_FILE = "catalog.json"
 CATALOG_SHA256 = "ca80c3c841be3f1cf1556b721bb16145e9baf622d352a421daf369f527d17aa8"
@@ -224,7 +224,6 @@ def reproduce_table_deg3(threads: int | None = None) -> list[TableRow]:
     coinciding pairs fail to coincide.  `threads` is accepted for
     compatibility and has no effect.
     """
-    ids = [rep.id for rep in load_catalog()]
     rows = []
     bad = []
     for rep in load_catalog():
@@ -441,7 +440,7 @@ def reproduce_degstab_table(threads: int | None = None) -> list[DegStabCell]:
             elif (r, n) == (3, 6):
                 value, method = _degstab_3_6()
             else:  # pragma: no cover - table rows are fixed
-                raise AssertionError(f"no reproduction route for {(r, n)}")
+                raise InvariantViolationError(f"no reproduction route for {(r, n)}")
             cells.append(DegStabCell(n, r, value, method))
             if value != expected:
                 bad.append(((n, r), value, expected))

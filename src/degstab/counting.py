@@ -68,12 +68,6 @@ def dd_hyperplane_histogram(r: int, n: int) -> list[int]:
     return hist
 
 
-def lower_terms_multiplier(r: int, n: int) -> int:
-    """Count multiplier from homogeneous of degree r to all functions of
-    degree exactly r: choices for the terms of degree < r."""
-    return 1 << sum(comb(n, l) for l in range(r))
-
-
 @dataclass(frozen=True)
 class ProbabilityReport:
     """Probability that a random nonzero homogeneous degree-r function has at

@@ -68,22 +68,20 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import f2
-from .anf import ANF, NEG_INF, Degree, mobius_inplace
+from .anf import ANF, NEG_INF, Degree, _check_directions, mobius_inplace
 from .bits import popcount_table, xor_points
 from .errors import (
     ConstantFunctionError,
-    DependentDirectionsError,
     EnumerationRangeError,
     InvariantViolationError,
     NotHomogeneousError,
-    VariableIndexError,
-    ZeroDirectionError,
     ZeroFunctionError,
 )
 from .subspaces import (
+    AffineSubspace,
     LinearSubspace,
-    Subspace,
     _CACHE_LIMIT,
+    _canonical_forms,
     codim_rank,
     count_codim,
     iter_codim_chunks,
@@ -257,14 +255,14 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 # -- single-subspace checks --------------------------------------------------
 
 
-def is_degree_drop(f: ANF, space: Subspace) -> bool:
+def is_degree_drop(f: ANF, space: AffineSubspace) -> bool:
     """deg(f|_space) < deg(f). Raises ZeroFunctionError on the zero function."""
     r = _int_degree(f)
     d = restrict(f, space).degree()
     return d is NEG_INF or d < r
 
 
-def restriction_degree(f: ANF, space: Subspace) -> Degree:
+def restriction_degree(f: ANF, space: AffineSubspace) -> Degree:
     return restrict(f, space).degree()
 
 
@@ -305,8 +303,6 @@ def k_membership(f: ANF, k: int, threads: int = 1) -> bool:
     By inclusion this also rules out every co-dimension below k. `threads`
     is accepted for compatibility and has no effect.
     """
-    if k < 1 or k > f.n:
-        raise EnumerationRangeError(f"co-dimension must lie in 1..n={f.n}, got {k}")
     return not has_degree_drop_space(f, k)
 
 
@@ -397,9 +393,7 @@ def deg_stab(f: ANF, threads: int = 1) -> int:
 
 def _kernel(n: int, conditions) -> tuple[int, ...]:
     """Canonical (RREF) basis of {a : parity(a & c) = 0 for every condition c}."""
-    basis = f2.kernel_basis_of_rows(set(conditions), n)
-    rows, dim, _ = f2.rref_rows(basis, n)
-    return tuple(rows[:dim])
+    return _canonical_forms(f2.kernel_basis_of_rows(set(conditions), n), n)
 
 
 def hyperplane_normal_basis(n: int, top: Iterable[int]) -> tuple[int, ...]:
@@ -493,16 +487,9 @@ def fast_points(f: ANF) -> FastPointSpace:
 
 def is_fast_space(f: ANF, directions: Sequence[int]) -> bool:
     """deg of the iterated derivative along the span is < deg(f) - dim."""
-    dirs = [int(a) for a in directions]
+    dirs = _check_directions(f.n, directions)
     if not dirs:
         raise ValueError("need at least one direction")
-    for a in dirs:
-        if a == 0:
-            raise ZeroDirectionError("directions must be nonzero")
-        if a < 0 or a >> f.n:
-            raise VariableIndexError(f"direction {a:#x} outside F_2^{f.n}")
-    if f2.rank_of_rows(dirs, f.n) != len(dirs):
-        raise DependentDirectionsError("directions must be linearly independent")
     d = f.degree()
     if d is NEG_INF:
         raise ZeroFunctionError("fast spaces are undefined for the zero function")

@@ -146,15 +146,8 @@ class F2Matrix:
             out.append(acc)
         return F2Matrix(out, other.ncols)
 
-    def rref(self) -> tuple["F2Matrix", int, tuple[int, ...]]:
-        rows, rank, pivots = rref_rows(self.rows, self.ncols)
-        return F2Matrix(rows, self.ncols), rank, pivots
-
     def rank(self) -> int:
         return rank_of_rows(self.rows, self.ncols)
-
-    def kernel_basis(self) -> list[int]:
-        return kernel_basis_of_rows(self.rows, self.ncols)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.ncols
@@ -163,41 +156,25 @@ class F2Matrix:
         n = self.ncols
         if self.nrows != n:
             raise SingularMatrixError("matrix is not square")
-        # eliminate on [M | I] rows of width 2n
-        work = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-        r = 0
-        for c in range(n):
-            sel = next((i for i in range(r, n) if (work[i] >> c) & 1), None)
-            if sel is None:
-                raise SingularMatrixError("matrix is singular")
-            work[r], work[sel] = work[sel], work[r]
-            for i in range(n):
-                if i != r and (work[i] >> c) & 1:
-                    work[i] ^= work[r]
-            r += 1
+        # reduce [M | I], rows of width 2n: M is invertible iff its n columns
+        # are the pivots, and then the right half holds M^-1
+        aug = [row | (1 << (n + i)) for i, row in enumerate(self.rows)]
+        work, _, pivots = rref_rows(aug, 2 * n)
+        if pivots != tuple(range(n)):
+            raise SingularMatrixError("matrix is singular")
         return F2Matrix([w >> n for w in work], n)
 
     def solve(self, b: int) -> Optional[int]:
         """One x with parity(rows[i] & x) = bit i of b, or None if inconsistent."""
-        aug = [(row, (b >> i) & 1) for i, row in enumerate(self.rows)]
-        r = 0
-        pivots = []
-        for c in range(self.ncols):
-            sel = next((i for i in range(r, len(aug)) if (aug[i][0] >> c) & 1), None)
-            if sel is None:
-                continue
-            aug[r], aug[sel] = aug[sel], aug[r]
-            for i in range(len(aug)):
-                if i != r and (aug[i][0] >> c) & 1:
-                    aug[i] = (aug[i][0] ^ aug[r][0], aug[i][1] ^ aug[r][1])
-            pivots.append(c)
-            r += 1
-        for i in range(r, len(aug)):
-            if aug[i][1]:
-                return None
+        # reduce [M | b], b carried in column ncols: a pivot there is 0 = 1
+        c = self.ncols
+        aug = [row | (((b >> i) & 1) << c) for i, row in enumerate(self.rows)]
+        work, _, pivots = rref_rows(aug, c + 1)
+        if c in pivots:
+            return None
         x = 0
-        for i, c in enumerate(pivots):
-            x |= aug[i][1] << c
+        for row, p in zip(work, pivots):
+            x |= ((row >> c) & 1) << p
         return x
 
 

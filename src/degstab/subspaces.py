@@ -1,9 +1,11 @@
 """Linear and affine subspaces of F_2^n, and restriction of functions to them.
 
-A subspace of co-dimension k is stored by its annihilator: k independent
-linear forms in reduced row echelon form (each form an int mask, bit j-1 <->
-variable x_j). This representative is canonical, so equality of subspaces is
-tuple equality of their forms.
+An affine subspace of co-dimension k is stored by its annihilator: k
+independent linear forms in reduced row echelon form (each form an int mask,
+bit j-1 <-> variable x_j), with one constant per form. This representative is
+canonical, so equality of subspaces is tuple equality of their forms and
+constants. A linear subspace is the affine subspace with zero constants:
+LinearSubspace is the AffineSubspace whose consts is fixed at 0.
 
 Enumeration visits the [n k]_2 codim-k subspaces in one canonical order,
 numpy block by block. A pivot block holds the RREF forms with one pivot
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -41,53 +43,6 @@ from .errors import AnfSyntaxError, EnumerationRangeError, VariableIndexError
 def _canonical_forms(forms: Sequence[int], n: int) -> tuple[int, ...]:
     rows, rank, _ = f2.rref_rows(forms, n)
     return tuple(rows[:rank])
-
-
-@dataclass(frozen=True)
-class LinearSubspace:
-    """Solution set of `forms . x = 0`; forms are canonical (RREF, full rank)."""
-
-    n: int
-    forms: tuple[int, ...]
-
-    @classmethod
-    def from_forms(cls, n: int, forms: Sequence[int]) -> "LinearSubspace":
-        for a in forms:
-            if a < 0 or a >> n:
-                raise VariableIndexError(f"form mask {a:#x} does not fit n={n}")
-        return cls(n, _canonical_forms(forms, n))
-
-    @classmethod
-    def hyperplane(cls, n: int, normal: int) -> "LinearSubspace":
-        if normal == 0:
-            raise ValueError("hyperplane normal must be nonzero")
-        return cls.from_forms(n, [normal])
-
-    @property
-    def codim(self) -> int:
-        return len(self.forms)
-
-    @property
-    def dim(self) -> int:
-        return self.n - len(self.forms)
-
-    def solution_basis(self) -> list[int]:
-        return f2.kernel_basis_of_rows(self.forms, self.n)
-
-    def offset(self) -> int:
-        return 0
-
-    def contains_point(self, x: int) -> bool:
-        return all((a & x).bit_count() % 2 == 0 for a in self.forms)
-
-    def points(self) -> np.ndarray:
-        return xor_points(self.solution_basis())
-
-    def to_text(self) -> str:
-        return format_subspace(self)
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 @dataclass(frozen=True)
@@ -125,11 +80,7 @@ class AffineSubspace:
         out_consts = 0
         for i, r in enumerate(rows):
             out_consts |= (r >> n) << i
-        return cls(n, out_forms, out_consts)
-
-    @classmethod
-    def linear(cls, v: LinearSubspace) -> "AffineSubspace":
-        return cls(v.n, v.forms, 0)
+        return AffineSubspace(n, out_forms, out_consts)
 
     @property
     def codim(self) -> int:
@@ -140,18 +91,20 @@ class AffineSubspace:
         return self.n - len(self.forms)
 
     @property
-    def underlying(self) -> LinearSubspace:
+    def underlying(self) -> "LinearSubspace":
         return LinearSubspace(self.n, self.forms)
 
     def solution_basis(self) -> list[int]:
         return f2.kernel_basis_of_rows(self.forms, self.n)
 
     def offset(self) -> int:
-        """Particular solution; bits at pivot columns copy the constants."""
-        rows, rank, pivots = f2.rref_rows(self.forms, self.n)
+        """Particular solution; bits at pivot columns copy the constants.
+
+        The forms are in RREF, so form i's pivot is its lowest set bit."""
         v = 0
-        for i, p in enumerate(pivots):
-            v |= ((self.consts >> i) & 1) << p
+        for i, a in enumerate(self.forms):
+            if (self.consts >> i) & 1:
+                v |= a & -a
         return v
 
     def contains_point(self, x: int) -> bool:
@@ -170,32 +123,40 @@ class AffineSubspace:
         return self.to_text()
 
 
-Subspace = LinearSubspace | AffineSubspace
+@dataclass(frozen=True)
+class LinearSubspace(AffineSubspace):
+    """Solution set of `forms . x = 0`, the zero-constant affine subspace;
+    forms are canonical (RREF, full rank)."""
+
+    consts: int = field(default=0, init=False, repr=False)
+
+    @classmethod
+    def from_forms(cls, n: int, forms: Sequence[int]) -> "LinearSubspace":
+        return cls(n, AffineSubspace.from_equations(n, forms, 0).forms)
+
+    @classmethod
+    def hyperplane(cls, n: int, normal: int) -> "LinearSubspace":
+        if normal == 0:
+            raise ValueError("hyperplane normal must be nonzero")
+        return cls.from_forms(n, [normal])
 
 
-def _as_affine(space: Subspace) -> AffineSubspace:
-    if isinstance(space, LinearSubspace):
-        return AffineSubspace.linear(space)
-    return space
-
-
-def contains(inner: Subspace, outer: Subspace) -> bool:
+def contains(inner: AffineSubspace, outer: AffineSubspace) -> bool:
     """True iff inner is a subset of outer.
 
     Subset-ness means every constraint of `outer` is implied by the
     constraints of `inner` (smaller space = more constraints).
     """
-    vi, vo = _as_affine(inner), _as_affine(outer)
-    if vi.n != vo.n:
+    if inner.n != outer.n:
         raise ValueError("subspaces live in different dimensions")
-    n = vi.n
-    aug_inner = [a | (((vi.consts >> i) & 1) << n) for i, a in enumerate(vi.forms)]
-    aug_outer = [a | (((vo.consts >> i) & 1) << n) for i, a in enumerate(vo.forms)]
+    n = inner.n
+    aug_inner = [a | (((inner.consts >> i) & 1) << n) for i, a in enumerate(inner.forms)]
+    aug_outer = [a | (((outer.consts >> i) & 1) << n) for i, a in enumerate(outer.forms)]
     base = f2.rank_of_rows(aug_inner, n + 1)
     return f2.rank_of_rows(aug_inner + aug_outer, n + 1) == base
 
 
-def restrict(func: ANF, space: Subspace) -> ANF:
+def restrict(func: ANF, space: AffineSubspace) -> ANF:
     """Restriction of func to the subspace, as an ANF on dim(space) variables.
 
     The j-th new variable is the coefficient of the j-th canonical solution
@@ -204,21 +165,19 @@ def restrict(func: ANF, space: Subspace) -> ANF:
     variables this is literally that substitution with the free variables
     renumbered 1..dim in increasing order.
     """
-    aff = _as_affine(space)
-    if func.n != aff.n:
-        raise ValueError(f"function on {func.n} variables, subspace in {aff.n}")
-    return ANF.from_truth_table(func.truth_table()[aff.points()])
+    if func.n != space.n:
+        raise ValueError(f"function on {func.n} variables, subspace in {space.n}")
+    return ANF.from_truth_table(func.truth_table()[space.points()])
 
 
-def indicator(space: Subspace) -> ANF:
+def indicator(space: AffineSubspace) -> ANF:
     """Characteristic function of the subspace; degree is exactly its codim."""
-    aff = _as_affine(space)
-    n = aff.n
+    n = space.n
     par = parity_table(n)
     x = np.arange(1 << n, dtype=np.uint32)
     tt = np.ones(1 << n, dtype=np.uint8)
-    for i, a in enumerate(aff.forms):
-        tt &= par[x & np.uint32(a)] == ((aff.consts >> i) & 1)
+    for i, a in enumerate(space.forms):
+        tt &= par[x & np.uint32(a)] == ((space.consts >> i) & 1)
     return ANF.from_truth_table(tt)
 
 
@@ -422,15 +381,14 @@ def codim_rank(n: int, forms) -> np.ndarray:
 # -- text form ---------------------------------------------------------------
 
 
-def format_subspace(space: Subspace) -> str:
+def format_subspace(space: AffineSubspace) -> str:
     """Equation list like "x1+x2=0; x3=1"."""
-    aff = _as_affine(space)
-    if not aff.forms:
+    if not space.forms:
         return "0=0"
     eqs = []
-    for i, a in enumerate(aff.forms):
+    for i, a in enumerate(space.forms):
         lhs = "+".join(f"x{v}" for v in mask_to_vars(a))
-        eqs.append(f"{lhs}={(aff.consts >> i) & 1}")
+        eqs.append(f"{lhs}={(space.consts >> i) & 1}")
     return "; ".join(eqs)
 
 

@@ -27,8 +27,11 @@ from degstab.degreedrop import (
 from degstab.errors import (
     ConstantFunctionError,
     DependentDirectionsError,
+    EnumerationRangeError,
     InvariantViolationError,
     NotHomogeneousError,
+    VariableIndexError,
+    ZeroDirectionError,
     ZeroFunctionError,
 )
 from degstab.subspaces import LinearSubspace, parse_subspace
@@ -267,10 +270,9 @@ def test_profile_new_matches_the_containment_oracle():
 def test_lift_rejects_out_of_range_codims():
     f = ANF.parse("123", 5)
     for k in (0, 6):
-        with pytest.raises(ValueError):
-            degree_drop_count(f, k)
-        with pytest.raises(ValueError):
-            has_degree_drop_space(f, k)
+        for check in (degree_drop_count, has_degree_drop_space, k_membership):
+            with pytest.raises(EnumerationRangeError, match=f"1..n=5, got {k}"):
+                check(f, k)
 
 
 def test_kernels_match_scans_on_affine_images():
@@ -316,6 +318,28 @@ def test_is_fast_space_validates_directions():
         is_fast_space(f, [0b1, 0b1])
     with pytest.raises(ValueError):
         is_fast_space(f, [])
+
+
+@pytest.mark.parametrize(
+    "directions, error",
+    [
+        ([0], ZeroDirectionError),
+        ([0b1, 0], ZeroDirectionError),
+        ([1 << 6], VariableIndexError),
+        ([-1], VariableIndexError),
+        ([0b11, 0b101, 0b110], DependentDirectionsError),
+    ],
+)
+def test_direction_checks_agree(directions, error):
+    # derivative, iterated_derivative and is_fast_space share one validator
+    f = ANF.parse("1234", 6)
+    with pytest.raises(error):
+        f.iterated_derivative(directions)
+    with pytest.raises(error):
+        is_fast_space(f, directions)
+    if len(directions) == 1:
+        with pytest.raises(error):
+            f.derivative(directions[0])
 
 
 def test_iterated_fast_space_definition():

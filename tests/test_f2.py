@@ -120,6 +120,40 @@ def test_solve():
     assert F2Matrix([0b01, 0b01], 2).solve(0b10) is None
 
 
+def _all_matrices(nrows, ncols):
+    for bits in range(1 << (nrows * ncols)):
+        yield F2Matrix([(bits >> (i * ncols)) & ((1 << ncols) - 1) for i in range(nrows)], ncols)
+
+
+def test_solve_matches_brute_force():
+    # every matrix up to 3 x 3 and every right-hand side, inconsistent ones included
+    for nrows in range(4):
+        for ncols in range(4):
+            for m in _all_matrices(nrows, ncols):
+                for b in range(1 << nrows):
+                    solutions = [x for x in range(1 << ncols) if m.apply(x) == b]
+                    x = m.solve(b)
+                    assert (x is None) == (not solutions)
+                    assert x is None or x in solutions
+
+
+def test_inverse_matches_brute_force():
+    # column j of M^-1 is the unique x with M x = e_j; singular M has none
+    for n in range(4):
+        for m in _all_matrices(n, n):
+            cols = [[x for x in range(1 << n) if m.apply(x) == 1 << j] for j in range(n)]
+            if all(len(c) == 1 for c in cols):
+                rows = [sum(((c[0] >> i) & 1) << j for j, c in enumerate(cols)) for i in range(n)]
+                assert m.inverse() == F2Matrix(rows, n)
+                assert m.is_invertible()
+            else:
+                with pytest.raises(SingularMatrixError):
+                    m.inverse()
+                assert not m.is_invertible()
+    with pytest.raises(SingularMatrixError):
+        F2Matrix([0b01, 0b10], 3).inverse()  # not square
+
+
 def test_from_entries_round_trip():
     entries = [[1, 0, 1], [0, 1, 1]]
     m = F2Matrix.from_entries(entries)

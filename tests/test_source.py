@@ -6,14 +6,29 @@ from pathlib import Path
 import degstab
 
 
-def test_no_assert_statements_in_the_package():
-    # python -O strips assert statements, so a checked result must raise a
-    # DegstabError (InvariantViolationError for a broken guarantee) instead
+def _offending_lines(is_offence) -> list[str]:
     root = Path(degstab.__file__).parent
-    found = [
+    return [
         f"{path.relative_to(root)}:{node.lineno}"
         for path in sorted(root.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if is_offence(node)
     ]
-    assert found == []
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so a checked result must raise a
+    # DegstabError (InvariantViolationError for a broken guarantee) instead
+    assert _offending_lines(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_raise_assertion_error_in_the_package():
+    # a broken guarantee, even on an unreachable branch, is a DegstabError
+    assert _offending_lines(_raises_assertion_error) == []

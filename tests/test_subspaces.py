@@ -55,6 +55,33 @@ def test_offset_lies_in_the_space():
     assert linear.contains_point(0)
 
 
+def test_linear_subspace_is_the_zero_constant_affine_subspace():
+    rng = random.Random(13)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        forms = [rng.randint(0, (1 << n) - 1) for _ in range(rng.randint(0, n))]
+        lin = LinearSubspace.from_forms(n, forms)
+        aff = AffineSubspace.from_equations(n, forms, 0)
+        assert isinstance(lin, AffineSubspace)
+        assert (lin.forms, lin.consts) == (aff.forms, aff.consts) == (aff.forms, 0)
+        assert lin == aff.underlying == LinearSubspace(n, aff.forms)
+        assert hash(lin) == hash(aff.underlying)
+        assert np.array_equal(lin.points(), aff.points())
+        assert all(lin.contains_point(x) == aff.contains_point(x) for x in range(1 << n))
+        assert format_subspace(lin) == format_subspace(aff) == str(lin)
+        f = random_nonconstant(rng, n)
+        assert restrict(f, lin) == restrict(f, aff)
+        assert indicator(lin) == indicator(aff)
+        other = AffineSubspace.from_equations(
+            n, [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(0, n))], 0
+        )
+        other = AffineSubspace(n, other.forms, rng.randint(0, (1 << other.codim) - 1))
+        for outer in (other, aff, lin):
+            assert contains(lin, outer) == contains(aff, outer)
+            assert contains(outer, lin) == contains(outer, aff)
+    assert repr(LinearSubspace.from_forms(4, [0b0110, 0b0011])) == "LinearSubspace(n=4, forms=(5, 6))"
+
+
 def test_enumerate_codim_counts_and_uniqueness():
     for n in range(1, 7):
         for k in range(0, min(n, 3) + 1):
