@@ -20,6 +20,7 @@ from . import f2
 from .bits import MAX_TABLE_VARS, mask_to_vars, parity_table, popcount_table
 from .errors import (
     AnfSyntaxError,
+    ArrayLayoutError,
     DependentDirectionsError,
     DimensionMismatchError,
     InvalidLengthError,
@@ -37,22 +38,40 @@ MAX_VARS = MAX_TABLE_VARS
 Degree = Union[int, float]
 
 
+# Stage i < 3 of the transform inside one little-endian 8-byte word: the
+# bytes whose index has bit i set take the byte 2**i below them.
+_LANES = (0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)
+
+
 def mobius_inplace(bits: np.ndarray) -> np.ndarray:
     """Binary Moebius transform along the last axis (length 2**n), in place.
 
     Leading axes are independent rows. Maps ANF coefficients to the truth
-    table and back; it is an involution. The array must be C-contiguous,
-    since reshaping anything else copies and the transform would be lost.
+    table and back; it is an involution. The array must be C-contiguous
+    uint8, one coefficient per byte: the rows are viewed as little-endian
+    words of 2**min(n, 3) bytes, stages below 3 run inside each word by a
+    masked shift, and the later stages XOR whole words.
     """
-    size = bits.shape[-1]
+    if bits.dtype != np.uint8 or not bits.flags.c_contiguous:
+        raise ArrayLayoutError(
+            f"mobius_inplace needs a C-contiguous uint8 array, got {bits.dtype}"
+            f"{'' if bits.flags.c_contiguous else ' (not C-contiguous)'}"
+        )
+    size = bits.shape[-1] if bits.ndim else 0
     if size == 0 or size & (size - 1):
         raise InvalidLengthError(f"last axis must have length 2**n, got {size}")
-    if not bits.flags.c_contiguous:
-        raise ValueError("mobius_inplace needs a C-contiguous array")
+    n = size.bit_length() - 1
+    width = 1 << min(n, 3)
+    words = bits.view(f"<u{width}")
+    scratch = np.empty_like(words)
+    for i in range(min(n, 3)):
+        np.left_shift(words, 8 << i, out=scratch)
+        scratch &= words.dtype.type(_LANES[i] & ((1 << 8 * width) - 1))
+        words ^= scratch
     # each row's length is a multiple of every block 2**(i+1), so the rows
     # can share one flat reshape
-    for i in range(size.bit_length() - 1):
-        v = bits.reshape(-1, 2, 1 << i)
+    for i in range(3, n):
+        v = words.reshape(-1, 2, 1 << (i - 3))
         v[:, 1, :] ^= v[:, 0, :]
     return bits
 

@@ -6,7 +6,14 @@ enumeration here runs over linear subspaces (canonical annihilator forms).
 
 The scan engine restricts one function to many subspaces at once: truth-table
 gather along precomputed solution bases, a batched Moebius transform along the
-point axis, then a popcount reduction for the degrees.
+point axis (on 64-bit words, see anf.mobius_inplace), then a popcount
+reduction for the degrees. It runs in chunks of the enumeration order. An
+existence query (has_degree_drop_space, and through it k_membership and
+deg_stab) stops at the first chunk with a drop, so its chunks ramp: the
+first holds _POINTS >> _RAMP points and each next one twice as many, up to
+_POINTS. Counts, profiles, enumerate_degree_drop and the duality read every
+row, so they take full _POINTS chunks, which cost the fewest numpy calls.
+Chunk sizes change neither the order of the rows nor any result.
 
 Hyperplane normals and fast points need no scan. Both are GF(2) kernels read
 off the top part f_r of a function f of degree r >= 0, with l_a = sum a_i x_i:
@@ -82,6 +89,7 @@ from .subspaces import (
     LinearSubspace,
     _CACHE_LIMIT,
     _canonical_forms,
+    _regroup,
     codim_rank,
     count_codim,
     iter_codim_chunks,
@@ -93,6 +101,8 @@ _CHUNK = 8192
 # Points gathered per scan chunk (8192 rows at m = 6). Sized so that the
 # lift's wider codim-(k-1) rows take no more memory than the codim-k scan did.
 _POINTS = 1 << 19
+# Doublings from an existence query's first chunk up to _POINTS.
+_RAMP = 4
 
 
 def _int_degree(f: ANF) -> int:
@@ -127,26 +137,32 @@ def _is_fast(tt: np.ndarray, dirs: np.ndarray, r: int) -> np.ndarray:
     return flags
 
 
-def _drop_chunks(f: ANF, k: int):
+def _chunk_rows(m: int, ramp: bool) -> Iterator[int]:
+    """Rows per scan chunk of restrictions to dimension m: _POINTS points
+    each, or one row if that is more. With ramp the first chunk takes
+    _POINTS >> _RAMP points and each next one twice as many, up to _POINTS,
+    so an existence query that meets an early drop reduces few rows."""
+    points = max(1, _POINTS >> _RAMP) if ramp else _POINTS
+    while True:
+        yield max(1, points >> m)
+        points = min(points << 1, _POINTS)
+
+
+def _drop_chunks(f: ANF, k: int, ramp: bool = False):
     """Yield (forms, drop_flags, anf_rows) over all codim-k subspaces, in order.
 
     `forms` is an int64 array of RREF annihilators, one row of k per
     subspace. `anf_rows` holds the restrictions' ANF coefficients, one row
-    of 2**(n-k) per subspace. A chunk holds _POINTS points, or one row if
-    that is more.
+    of 2**(n-k) per subspace. Chunks are sized by _chunk_rows.
     """
     r = _int_degree(f)
     tt = f.truth_table()
-    step = max(1, _POINTS >> (f.n - k))
+    m = f.n - k
     if count_codim(f.n, k) <= _CACHE_LIMIT:
-        all_forms, all_bases = materialized_codim(f.n, k)
-        chunks = (
-            (all_forms[s : s + step], all_bases[s : s + step])
-            for s in range(0, len(all_forms), step)
-        )
+        pieces = [materialized_codim(f.n, k)]
     else:
-        chunks = iter_codim_chunks(f.n, k, step)
-    for forms, bases in chunks:
+        pieces = iter_codim_chunks(f.n, k, max(1, _POINTS >> m))
+    for forms, bases in _regroup(pieces, _chunk_rows(m, ramp)):
         rows = mobius_inplace(tt[xor_points(bases)])
         yield forms, _degrees(rows) < r, rows
 
@@ -185,27 +201,30 @@ def _normal_kernel_dims(rows: np.ndarray, r: int) -> np.ndarray:
     src, bit = _normal_conditions(m, r)
     if not src.size:
         return np.full(len(rows), m)
-    conds = np.zeros((len(rows), src.shape[1]), dtype=bit.dtype)
+    # one row of conditions per output monomial, one column per ANF row, so
+    # every step below runs along the rows
+    conds = np.zeros((src.shape[1], len(rows)), dtype=bit.dtype)
     for s, b in zip(src, bit):
-        conds |= rows[:, s] * b
+        conds |= rows.T[s] * b[:, None]
     dims = np.full(len(rows), m)
-    at = np.arange(len(rows))
     for j in range(m):
         has = (conds >> j) & 1
-        pivot = conds[at, has.argmax(axis=1)]
-        conds ^= pivot[:, None] * has
+        # any condition with bit j serves as the pivot; the largest is one
+        pivot = (conds * has).max(axis=0)
+        conds ^= pivot * has
         dims -= (pivot >> j) & 1
     return dims
 
 
-def _lifted(f: ANF, k: int):
+def _lifted(f: ANF, k: int, ramp: bool = False):
     """Yield (forms, drop_flags, drops_inside) over the codim-(k-1) spaces U,
-    chunked: drops_inside counts the degree-drop codim-k spaces inside each U.
+    chunked (ramped for existence queries, see _chunk_rows): drops_inside
+    counts the degree-drop codim-k spaces inside each U.
     """
     if not 1 <= k <= f.n:
         raise EnumerationRangeError(f"co-dimension must lie in 1..n={f.n}, got {k}")
     r = _int_degree(f)
-    for forms, dd, rows in _drop_chunks(f, k - 1):
+    for forms, dd, rows in _drop_chunks(f, k - 1, ramp):
         yield forms, dd, (1 << _normal_kernel_dims(rows, r)) - 1
 
 
@@ -294,7 +313,7 @@ def has_degree_drop_space(f: ANF, k: int, threads: int = 1) -> bool:
 
     `threads` is accepted for compatibility and has no effect.
     """
-    return any(c.any() for _, _, c in _lifted(f, k))
+    return any(c.any() for _, _, c in _lifted(f, k, ramp=True))
 
 
 def k_membership(f: ANF, k: int, threads: int = 1) -> bool:

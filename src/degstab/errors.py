@@ -25,6 +25,14 @@ class EnumerationRangeError(DegstabError, ValueError):
     """Co-dimension, chunk size or subspace rank outside what enumeration supports."""
 
 
+class ArrayLayoutError(DegstabError, ValueError):
+    """Array is not the C-contiguous uint8 layout an in-place kernel needs."""
+
+
+class NotCanonicalError(DegstabError, ValueError):
+    """Subspace forms or constants are not the canonical (RREF) representative."""
+
+
 class ZeroDirectionError(DegstabError, ValueError):
     """Derivative direction is the zero vector."""
 

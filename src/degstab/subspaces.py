@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +37,12 @@ from . import f2
 from .anf import ANF
 from .bits import mask_to_vars, parity_table, xor_points
 from .counting import gaussian_binomial
-from .errors import AnfSyntaxError, EnumerationRangeError, VariableIndexError
+from .errors import (
+    AnfSyntaxError,
+    EnumerationRangeError,
+    NotCanonicalError,
+    VariableIndexError,
+)
 
 
 def _canonical_forms(forms: Sequence[int], n: int) -> tuple[int, ...]:
@@ -56,6 +61,26 @@ class AffineSubspace:
     n: int
     forms: tuple[int, ...]
     consts: int
+
+    def __post_init__(self) -> None:
+        # the RREF invariants that offset, points and equality rely on: the
+        # pivots (lowest set bits) increase, no form has a bit at a later
+        # form's pivot, and consts has one bit per form
+        seen = pivot = 0
+        for i, a in enumerate(self.forms):
+            name = f"form {i} ({a:#x})"
+            if a <= 0 or a >> self.n:
+                raise VariableIndexError(f"{name} is not a nonzero mask of n={self.n} bits")
+            if a & -a <= pivot:
+                raise NotCanonicalError(f"{name} does not pivot above the form before it")
+            pivot = a & -a
+            if seen & pivot:
+                raise NotCanonicalError(f"{name} pivots on a column an earlier form uses")
+            seen |= a
+        if self.consts < 0 or self.consts >> len(self.forms):
+            raise NotCanonicalError(
+                f"consts {self.consts:#x} has bits beyond its {len(self.forms)} forms"
+            )
 
     @classmethod
     def from_equations(cls, n: int, forms: Sequence[int], consts: Sequence[int] | int) -> "AffineSubspace":
@@ -238,22 +263,36 @@ def _pivot_blocks(n: int, k: int, size: int) -> Iterator[tuple[np.ndarray, np.nd
 def _chunks(n: int, k: int, chunk_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pivot blocks regrouped into chunks of exactly chunk_size rows,
     the last one shorter."""
+    blocks = _pivot_blocks(n, k, max(chunk_size, _PIECE))
+    return _regroup(blocks, itertools.repeat(chunk_size))
+
+
+def _regroup(
+    pieces: Iterable[tuple[np.ndarray, np.ndarray]], sizes: Iterator[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(forms, bases) pieces, in order, regrouped into C-contiguous chunks
+    whose lengths are read from sizes in turn, the last one shorter. A chunk
+    that lies in one C-contiguous piece is a view of it."""
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     have = 0
-    for forms, bases in _pivot_blocks(n, k, max(chunk_size, _PIECE)):
+    size = next(sizes)
+    for forms, bases in pieces:
         while len(forms):
-            take = min(len(forms), chunk_size - have)
+            take = min(len(forms), size - have)
             parts.append((forms[:take], bases[:take]))
             forms, bases = forms[take:], bases[take:]
             have += take
-            if have == chunk_size:
+            if have == size:
                 yield _join(parts)
-                parts, have = [], 0
+                parts, have, size = [], 0, next(sizes)
     if parts:
         yield _join(parts)
 
 
 def _join(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    if len(parts) == 1:
+        forms, bases = parts[0]
+        return np.ascontiguousarray(forms), np.ascontiguousarray(bases)
     forms = np.concatenate([f for f, _ in parts])
     bases = np.concatenate([b for _, b in parts])
     return forms, bases

@@ -12,6 +12,7 @@ from degstab.anf import MAX_VARS, format_monomial_masks, mobius_inplace
 from degstab.bits import MAX_TABLE_VARS
 from degstab.errors import (
     AnfSyntaxError,
+    ArrayLayoutError,
     InvalidLengthError,
     NotHomogeneousError,
     VariableIndexError,
@@ -251,3 +252,31 @@ def test_mobius_is_involution():
     rows = np.array([[rng.randint(0, 1) for _ in range(64)] for _ in range(5)], dtype=np.uint8)
     expected = [mobius_inplace(row.copy()) for row in rows]
     assert np.array_equal(mobius_inplace(rows), expected)
+
+
+def test_mobius_word_lanes_match_the_oracle():
+    # stages below 3 run inside 2**min(m, 3)-byte words, the rest across
+    # them, so every m from a single byte up to many words is its own case
+    rng = np.random.default_rng(21)
+    for m in range(11):
+        for count in range(1, 6):
+            tt = rng.integers(0, 2, (count, 1 << m), dtype=np.uint8)
+            coeffs = mobius_inplace(tt.copy())
+            for row, got in zip(tt, coeffs):
+                expected = np.zeros(1 << m, dtype=np.uint8)
+                expected[sorted(oracles.coefficients(m, row.tolist()))] = 1
+                assert np.array_equal(got, expected), (m, count)
+            assert np.array_equal(mobius_inplace(coeffs), tt), (m, count)
+        row = tt[0].copy()  # a 1-D row takes the same path
+        assert np.array_equal(mobius_inplace(mobius_inplace(row)), tt[0])
+
+
+def test_mobius_rejects_other_layouts():
+    rows = np.zeros((4, 16), dtype=np.uint8)
+    others = (rows.astype(np.int64), rows.astype(bool), rows[:, ::2], rows.T,
+              np.asfortranarray(rows[:, :4]))
+    for bad in others:
+        with pytest.raises(ArrayLayoutError):
+            mobius_inplace(bad)
+    with pytest.raises(InvalidLengthError):
+        mobius_inplace(np.zeros((2, 12), dtype=np.uint8))

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -34,7 +35,7 @@ from degstab.errors import (
     ZeroDirectionError,
     ZeroFunctionError,
 )
-from degstab.subspaces import LinearSubspace, parse_subspace
+from degstab.subspaces import LinearSubspace, count_codim, materialized_codim, parse_subspace
 from degstab.f2 import random_invertible, rref_rows
 from helpers import random_degree, random_homogeneous, random_nonconstant, sparse_homogeneous
 
@@ -265,6 +266,66 @@ def test_profile_new_matches_the_containment_oracle():
         k_max = min(3, n)
         got = [(row.codim, row.count, row.new) for row in profile(f, k_max).rows]
         assert got == oracles.drop_profile(n, f.monomials(), k_max), f
+
+
+def test_existence_agrees_with_the_count(monkeypatch):
+    # has_degree_drop_space ramps its chunks and stops at the first drop;
+    # degree_drop_count reads every chunk. _POINTS is set per scan so that
+    # the codim-(k-1) rows take about 12 chunks, 4 of them ramping.
+    fives = []  # every nonzero homogeneous function of degree 1 or 4 on 5 variables
+    for r in (1, 4):
+        layer = [m for m in range(32) if m.bit_count() == r]
+        for bits in range(1, 1 << len(layer)):
+            fives.append(ANF.from_monomials(5, [m for j, m in enumerate(layer) if bits >> j & 1]))
+    rng = random.Random(16)
+    randoms = [random_nonconstant(rng, n) for n in (6, 7, 8)]
+    randoms += [random_degree(rng, n, r) for n in (6, 7, 8) for r in (2, 3, n - 3)]
+    for f in [*_small_functions(), *fives, *randoms]:
+        for k in range(1, f.n + 1):
+            points = max(1, count_codim(f.n, k - 1) // 8) << (f.n - k + 1)
+            monkeypatch.setattr(degreedrop, "_POINTS", points)
+            assert has_degree_drop_space(f, k) == (degree_drop_count(f, k) > 0), (f, k)
+
+
+def test_ramped_chunks_concatenate_to_the_enumeration(monkeypatch):
+    f = ANF.parse("123+456+147", 7)
+    cached = degreedrop._CACHE_LIMIT
+    for points in (1 << 8, 1 << 11):
+        monkeypatch.setattr(degreedrop, "_POINTS", points)
+        for k in (1, 2, 3):
+            full = [len(forms) for forms, _, _ in degreedrop._drop_chunks(f, k)]
+            assert full[:-1] == [full[0]] * (len(full) - 1)
+            # doubling from _POINTS >> _RAMP points, one row at least
+            steps = degreedrop._RAMP
+            ramp = [max(1, (points >> (steps - i)) >> (f.n - k)) for i in range(steps + 1)]
+            for limit in (cached, 0):  # sliced from the cache, then streamed
+                monkeypatch.setattr(degreedrop, "_CACHE_LIMIT", limit)
+                chunks = [forms for forms, _, _ in degreedrop._drop_chunks(f, k, True)]
+                sizes = [len(forms) for forms in chunks]
+                assert np.array_equal(np.concatenate(chunks), materialized_codim(f.n, k)[0])
+                assert sizes[: steps + 1] == ramp[: len(sizes)], (points, k, sizes)
+                assert all(size == full[0] for size in sizes[steps + 1 : -1]), (points, k, sizes)
+            monkeypatch.setattr(degreedrop, "_CACHE_LIMIT", cached)
+    # at 2**8 points and codim 2 the ramp crosses all four of its boundaries
+    monkeypatch.setattr(degreedrop, "_POINTS", 1 << 8)
+    sizes = [len(forms) for forms, _, _ in degreedrop._drop_chunks(f, 2, True)]
+    assert sizes[:6] == [1, 1, 2, 4, 8, 8]
+
+
+def test_existence_reaches_a_drop_in_the_last_rows(monkeypatch):
+    # S = {x7 = x8 = 0} is the only codim-2 drop of this cubic and no
+    # hyperplane drops, so the only codim-1 rows with a drop inside are S's
+    # three parents, the last three hyperplanes in canonical order
+    f = ANF.parse("127+347+157+257+357+457+367+567+128+148+158+458+268+368+468", 8)
+    monkeypatch.setattr(degreedrop, "_POINTS", 1 << 10)
+    inside = np.concatenate([c for _, _, c in degreedrop._lifted(f, 2, ramp=True)])
+    assert np.flatnonzero(inside).tolist() == [252, 253, 254] and len(inside) == 255
+    # ramped chunks of 1, 1, 2, 4 rows, then 8 each: the last holds rows 248..254
+    assert [len(forms) for forms, _, _ in degreedrop._drop_chunks(f, 1, True)][-1] == 7
+    assert not has_degree_drop_space(f, 1) and k_membership(f, 1)
+    assert has_degree_drop_space(f, 2) and not k_membership(f, 2)
+    assert deg_stab(f) == 1 and degree_drop_count(f, 2) == 1
+    assert [str(v) for v in enumerate_degree_drop(f, 2)] == ["x7=0; x8=0"]
 
 
 def test_lift_rejects_out_of_range_codims():

@@ -9,7 +9,13 @@ import pytest
 import oracles
 from degstab import ANF, count_codim, enumerate_codim, format_subspace, parse_subspace, restrict
 from degstab.bits import xor_points
-from degstab.errors import AnfSyntaxError, DegstabError, EnumerationRangeError, VariableIndexError
+from degstab.errors import (
+    AnfSyntaxError,
+    DegstabError,
+    EnumerationRangeError,
+    NotCanonicalError,
+    VariableIndexError,
+)
 from degstab.subspaces import (
     AffineSubspace,
     LinearSubspace,
@@ -80,6 +86,29 @@ def test_linear_subspace_is_the_zero_constant_affine_subspace():
             assert contains(lin, outer) == contains(aff, outer)
             assert contains(outer, lin) == contains(outer, aff)
     assert repr(LinearSubspace.from_forms(4, [0b0110, 0b0011])) == "LinearSubspace(n=4, forms=(5, 6))"
+
+
+def test_constructors_reject_non_canonical_forms():
+    # offset, points and equality read the pivots off RREF forms, so a
+    # constructor that took (3, 1) would put x1+x2=1; x1=1 at [1, 5]
+    assert list(AffineSubspace.from_equations(3, (3, 1), 1).points()) == [2, 6]
+    cases = [
+        ((3, (3, 1), 1), "form 1 \\(0x1\\) does not pivot above"),
+        ((3, (1, 3), 0), "form 1 \\(0x3\\) does not pivot above"),
+        ((3, (3, 2), 0), "form 1 \\(0x2\\) pivots on a column an earlier form uses"),
+        ((3, (1,), 6), "consts 0x6 has bits beyond its 1 forms"),
+        ((3, (1,), -1), "consts -0x1"),
+    ]
+    for args, message in cases:
+        with pytest.raises(NotCanonicalError, match=message):
+            AffineSubspace(*args)
+    for forms in ((3, 1), (3, 2)):
+        with pytest.raises(NotCanonicalError):
+            LinearSubspace(3, forms)
+    for forms in ((0,), (8,), (1, -2)):
+        with pytest.raises(VariableIndexError, match="not a nonzero mask of n=3 bits"):
+            LinearSubspace(3, forms)
+    assert str(AffineSubspace(3, (1, 6), 3)) == "x1=1; x2+x3=1"
 
 
 def test_enumerate_codim_counts_and_uniqueness():
