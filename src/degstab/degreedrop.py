@@ -4,16 +4,40 @@ An affine subspace A is a degree-drop subspace of f when deg(f|_A) < deg(f).
 Whether A is degree-drop depends only on its underlying linear space, so all
 enumeration here runs over linear subspaces (canonical annihilator forms).
 
-The scan engine restricts one function to many subspaces at once: truth-table
-gather along precomputed solution bases, a batched Moebius transform along the
-point axis (on 64-bit words, see anf.mobius_inplace), then a popcount
-reduction for the degrees. It runs in chunks of the enumeration order. An
-existence query (has_degree_drop_space, and through it k_membership and
-deg_stab) stops at the first chunk with a drop, so its chunks ramp: the
-first holds _POINTS >> _RAMP points and each next one twice as many, up to
-_POINTS. Counts, profiles, enumerate_degree_drop and the duality read every
-row, so they take full _POINTS chunks, which cost the fewest numpy calls.
-Chunk sizes change neither the order of the rows nor any result.
+The scan engine restricts one function to many subspaces at once and reads
+the degrees off the restrictions' ANF rows by a popcount reduction. It runs
+in chunks of the enumeration order. An existence query
+(has_degree_drop_space, and through it k_membership and deg_stab) stops at
+the first chunk with a drop, so its chunks ramp: the first holds
+_POINTS >> _RAMP points and each next one twice as many, up to _POINTS.
+Counts, profiles, enumerate_degree_drop and the duality read every row, so
+they take full _POINTS chunks, which cost the fewest numpy calls. Chunk
+sizes change neither the order of the rows nor any result.
+
+The rows come from one of two routes, chosen per pivot block (see
+subspaces._pivot_blocks); both give the same bytes in the same order.
+
+* Substitution, for a block of at least _SUBSTITUTE points. Let V have
+  RREF forms l_1..l_k with pivots p_1 < .. < p_k, and a_i the free columns
+  of l_i, all above p_i. The point of V with free coordinates y has
+  x_c = y_c at each free column c and x_(p_i) = sum over c in a_i of y_c,
+  so f|_V is f with each x_(p_i) replaced by that sum. Replace the highest
+  pivot p = p_k first: write f = A + x_p B with A and B free of x_p. Then
+  f|_(x_p = l) = A + l B = A + sum over c in a_k of x_c B, and the ANF of
+  x_c B has coefficient B_S + B_(S-c) at every S that holds c (from
+  x_c x^S = x_c x^(S-c) = x^S) and 0 at every other S. Dropping x_p from
+  the coefficient index moves only the positions above p, so the lower
+  pivots keep theirs and are replaced next, the same way. The 2**s spaces
+  that differ only in the s free bits of one form share A and B, and
+  their rows are the XOR span of the s rows x_c B over A: one XOR of
+  64-bit words per row, built by doubling. Row 0's free bits are the low
+  bits of the free-bit integer g, and its pivot is replaced last, so the
+  rows come out in the order of g, which is the canonical order.
+* Gather, for each run of smaller blocks: the truth table read at every
+  point of each space (bits.xor_points of its solution basis), then one
+  batched Moebius transform along the point axis (anf.mobius_inplace, on
+  64-bit words). Below _SUBSTITUTE points the numpy calls that the
+  substitution makes per block cost more than this.
 
 Hyperplane normals and fast points need no scan. Both are GF(2) kernels read
 off the top part f_r of a function f of degree r >= 0, with l_a = sum a_i x_i:
@@ -88,21 +112,31 @@ from .subspaces import (
     AffineSubspace,
     LinearSubspace,
     _CACHE_LIMIT,
+    _PIECE,
+    _block_rows,
     _canonical_forms,
+    _pivot_blocks,
     _regroup,
     codim_rank,
     count_codim,
-    iter_codim_chunks,
     materialized_codim,
     restrict,
 )
 
 _CHUNK = 8192
-# Points gathered per scan chunk (8192 rows at m = 6). Sized so that the
+# Points restricted per scan chunk (8192 rows at m = 6). Sized so that the
 # lift's wider codim-(k-1) rows take no more memory than the codim-k scan did.
 _POINTS = 1 << 19
 # Doublings from an existence query's first chunk up to _POINTS.
 _RAMP = 4
+# Points of a pivot block from which its restrictions are computed by
+# substitution in the ANF instead of the truth-table gather. Below it the
+# substitution's numpy calls per block cost more than the gather of a run
+# of small blocks; 2**13 was slower at (7, 2) and (7, 3), 2**15 no faster.
+_SUBSTITUTE = 1 << 14
+# The most codim-(j+1) spaces for which _child_count marks the children in
+# a boolean array, one byte per space, instead of sorting their ranks.
+_SEEN_BYTES = 1 << 24
 
 
 def _int_degree(f: ANF) -> int:
@@ -139,12 +173,13 @@ def _is_fast(tt: np.ndarray, dirs: np.ndarray, r: int) -> np.ndarray:
 
 def _chunk_rows(m: int, ramp: bool) -> Iterator[int]:
     """Rows per scan chunk of restrictions to dimension m: _POINTS points
-    each, or one row if that is more. With ramp the first chunk takes
-    _POINTS >> _RAMP points and each next one twice as many, up to _POINTS,
-    so an existence query that meets an early drop reduces few rows."""
+    each, or one row if that is more, rounded down to a power of two. With
+    ramp the first chunk takes _POINTS >> _RAMP points and each next one
+    twice as many, up to _POINTS, so an existence query that meets an early
+    drop reduces few rows."""
     points = max(1, _POINTS >> _RAMP) if ramp else _POINTS
     while True:
-        yield max(1, points >> m)
+        yield _floor2(points >> m)
         points = min(points << 1, _POINTS)
 
 
@@ -156,15 +191,145 @@ def _drop_chunks(f: ANF, k: int, ramp: bool = False):
     of 2**(n-k) per subspace. Chunks are sized by _chunk_rows.
     """
     r = _int_degree(f)
-    tt = f.truth_table()
-    m = f.n - k
-    if count_codim(f.n, k) <= _CACHE_LIMIT:
-        pieces = [materialized_codim(f.n, k)]
-    else:
-        pieces = iter_codim_chunks(f.n, k, max(1, _POINTS >> m))
-    for forms, bases in _regroup(pieces, _chunk_rows(m, ramp)):
-        rows = mobius_inplace(tt[xor_points(bases)])
+    pieces = _restriction_pieces(f, k, ramp)
+    for forms, rows in _regroup(pieces, _chunk_rows(f.n - k, ramp)):
         yield forms, _degrees(rows) < r, rows
+
+
+def _restriction_pieces(f: ANF, k: int, ramp: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(forms, anf_rows) of f's codim-k restrictions in canonical order.
+
+    Pieces grow like the chunks of _chunk_rows, so an existence query
+    restricts few spaces beyond the chunk that ends it. A piece of a
+    segment marked for substitution holds 2**q spaces of one block from a
+    multiple of 2**q on, as _substituted needs.
+    """
+    limits = _chunk_rows(f.n - k, ramp)
+    for forms, bases, substitute in _segments(f.n, k):
+        o = 0
+        while o < len(forms):
+            size = min(next(limits), len(forms) - o)
+            if substitute:
+                size = min(size, o & -o or size)
+                rows = _substituted(f.coeffs, f.n, forms[o].tolist(), size)
+            else:
+                rows = _gathered(f.truth_table(), bases[o : o + size])
+            yield forms[o : o + size], rows
+            o += size
+
+
+def _segments(n: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
+    """(forms, bases, substitute) over the codim-k spaces in canonical order.
+
+    When [n k]_2 is cached, one segment per _routes entry, sliced from
+    materialized_codim. Otherwise the _pivot_blocks pieces, which hold
+    min(_PIECE, block) rows of one block from a multiple of their length on.
+    """
+    routes = _routes(n, k, _SUBSTITUTE)
+    if count_codim(n, k) <= _CACHE_LIMIT:
+        forms, bases = materialized_codim(n, k)
+        for start, stop, substitute in routes:
+            yield forms[start:stop], bases[start:stop], substitute
+        return
+    at = stop = 0
+    route = iter(routes)
+    for forms, bases in _pivot_blocks(n, k, _PIECE):
+        while at >= stop:
+            _, stop, substitute = next(route)
+        yield forms, bases, substitute
+        at += len(forms)
+
+
+@lru_cache(maxsize=None)
+def _routes(n: int, k: int, least: float) -> tuple[tuple[int, int, bool], ...]:
+    """The canonical order of the codim-k spaces cut into (start, stop,
+    substitute): one entry with substitute True per pivot block of at least
+    `least` points, and one with False per run of smaller blocks."""
+    out: list[tuple[int, int, bool]] = []
+    start = 0
+    for rows in _block_rows(n, k):
+        big = rows << (n - k) >= least
+        if out and not big and not out[-1][2]:
+            out[-1] = (out[-1][0], start + rows, False)
+        else:
+            out.append((start, start + rows, big))
+        start += rows
+    return tuple(out)
+
+
+def _floor2(x: int) -> int:
+    """The largest power of two <= max(1, x)."""
+    return 1 << (max(1, x).bit_length() - 1)
+
+
+def _gathered(tt: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """ANF rows of the restrictions to the spaces with these solution bases:
+    the truth table read at every point, then a batched Moebius transform."""
+    return mobius_inplace(tt[xor_points(bases)])
+
+
+@lru_cache(maxsize=None)
+def _substitution_plan(n: int, pivots: tuple[int, ...]) -> tuple:
+    """Per row i of a pivot block, highest pivot first: (i, its free columns
+    c above pivots[i], ascending, and the position each c takes in the
+    coefficient index once pivots[i:] are removed from it)."""
+    plan = []
+    for i in reversed(range(len(pivots))):
+        cols = [c for c in range(pivots[i] + 1, n) if c not in pivots]
+        plan.append((i, cols, [c - sum(pivots[i] <= q < c for q in pivots) for c in cols]))
+    return tuple(plan)
+
+
+def _times_variable(b: np.ndarray, c: int) -> np.ndarray:
+    """ANF rows of x_c * B from B's rows b, c a position in their index:
+    coefficient S is b_S + b_(S-c) when c is in S, and 0 otherwise, as
+    x_c x^T = x^(T+c) is x^S for T = S and for T = S - c."""
+    t = np.zeros(b.shape, dtype=np.uint8)
+    bv = b.reshape(len(b), -1, 2, 1 << c)
+    np.bitwise_xor(bv[:, :, 1], bv[:, :, 0], out=t.reshape(bv.shape)[:, :, 1])
+    return t
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """The rows as 64-bit words when their length allows, for wide XORs."""
+    return rows.view(np.uint64) if rows.shape[-1] % 8 == 0 else rows
+
+
+def _substituted(coeffs: np.ndarray, n: int, first: list[int], size: int) -> np.ndarray:
+    """ANF rows of f (coefficients `coeffs`) restricted to `size` spaces of
+    one pivot block: size is a power of two 2**q, and `first` is the RREF
+    annihilator of the first space, whose free-bit integer g is a multiple
+    of size. The rows come in the order g, g + 1, .., g + size - 1.
+
+    Pivots are replaced highest first (see the module docstring): form i,
+    with pivot p, maps f = A + x_p B to A + sum over c in a of x_c B, a its
+    free columns. The low q bits of g (row 0's free slots first) run over
+    all their values, each such slot c doubling the rows by an XOR with
+    x_c B; `first` fixes the higher bits.
+    """
+    k = len(first)
+    pivots = tuple((a & -a).bit_length() - 1 for a in first)
+    spans = []  # free slots of each row that run over all their values
+    q = size.bit_length() - 1
+    for i, p in enumerate(pivots):
+        spans.append(min(q, n - k + i - p))
+        q -= spans[-1]
+    cur = coeffs.reshape(1, -1)
+    for i, cols, pos in _substitution_plan(n, pivots):
+        rows, half, s = len(cur), cur.shape[1] // 2, spans[i]
+        split = cur.reshape(rows, -1, 2, 1 << pivots[i])
+        b = np.ascontiguousarray(split[:, :, 1]).reshape(rows, half)
+        out = np.empty((rows, 1 << s, half), dtype=np.uint8)
+        out[:, 0].reshape(split[:, :, 0].shape)[...] = split[:, :, 0]
+        for c, at in zip(cols[s:], pos[s:]):
+            if first[i] >> c & 1:
+                _words(out[:, 0])[...] ^= _words(_times_variable(b, at))
+        words = _words(out)
+        for j in range(s):
+            t = _words(_times_variable(b, pos[j]))
+            np.bitwise_xor(words[:, : 1 << j], t[:, None], out=words[:, 1 << j : 2 << j])
+        cur = out.reshape(rows << s, half)
+    return cur
 
 
 @lru_cache(maxsize=None)
@@ -245,7 +410,9 @@ def _child_count(forms: np.ndarray, n: int) -> int:
 
     A child of U adds one form a on U's free (non-pivot) columns. Reducing
     U's rows that carry a's lowest bit by a puts the child in RREF; its rank
-    in the canonical order is its key.
+    in the canonical order is its key. The ranks are marked in a boolean
+    array of [n j+1]_2 bytes when that is at most _SEEN_BYTES, and sorted
+    otherwise.
     """
     if not len(forms):
         return 0
@@ -254,14 +421,22 @@ def _child_count(forms: np.ndarray, n: int) -> int:
     pivots = np.bitwise_or.reduce(forms & -forms, axis=1)
     free = np.broadcast_to(cols, (len(forms), n))[(pivots[:, None] & cols) == 0]
     free = free.reshape(len(forms), n - j)
-    seen = []
+    size = count_codim(n, j + 1)
+    seen = np.zeros(size, dtype=bool) if size <= _SEEN_BYTES else None
+    parts = []
     step = max(1, _CHUNK >> (n - j))
     for s in range(0, len(forms), step):
         a = xor_points(free[s : s + step], dtype=np.int64)[:, 1:, None]
         u = forms[s : s + step, None, :]
         rows = np.where(u & (a & -a) != 0, u ^ a, u)
-        seen.append(_distinct(codim_rank(n, np.concatenate([rows, a], axis=-1))))
-    return len(_distinct(np.concatenate(seen)))
+        ranks = codim_rank(n, np.concatenate([rows, a], axis=-1))
+        if seen is None:
+            parts.append(_distinct(ranks))
+        else:
+            seen[ranks] = True
+    if seen is None:
+        return len(_distinct(np.concatenate(parts)))
+    return int(np.count_nonzero(seen))
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:

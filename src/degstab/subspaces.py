@@ -260,6 +260,16 @@ def _pivot_blocks(n: int, k: int, size: int) -> Iterator[tuple[np.ndarray, np.nd
             yield forms.T, bases.T.astype(np.uint32)
 
 
+@lru_cache(maxsize=None)
+def _block_rows(n: int, k: int) -> tuple[int, ...]:
+    """Rows of each pivot block, in canonical order: 2**slots, row i with
+    pivot q having n - k + i - q free slots."""
+    return tuple(
+        1 << sum(n - k + i - q for i, q in enumerate(pivots))
+        for pivots in itertools.combinations(range(n), k)
+    )
+
+
 def _chunks(n: int, k: int, chunk_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pivot blocks regrouped into chunks of exactly chunk_size rows,
     the last one shorter."""

@@ -185,6 +185,41 @@ def codim_forms_and_bases(n: int, k: int) -> list[tuple[tuple[int, ...], list[in
     return [(rows, _kernel_from_rref(n, rows)) for rows in _iter_rref_forms(n, k)]
 
 
+# -- restriction rows by the truth table ----------------------------------------
+
+
+def _moebius(values: list[int]) -> list[int]:
+    """Binary Moebius transform of a list of 2**m bits, butterfly by butterfly."""
+    out = list(values)
+    step = 1
+    while step < len(out):
+        for x in range(len(out)):
+            if x & step:
+                out[x] ^= out[x ^ step]
+        step <<= 1
+    return out
+
+
+def restriction_row(tt: Sequence[int], basis: Sequence[int]) -> bytes:
+    """ANF coefficients of f on the span of `basis`, as one byte per
+    coefficient: bit j of the index is the coefficient of basis[j]."""
+    values = []
+    for y in range(1 << len(basis)):
+        x = 0
+        for j, b in enumerate(basis):
+            if y >> j & 1:
+                x ^= b
+        values.append(tt[x])
+    return bytes(_moebius(values))
+
+
+def restriction_rows(n: int, monomials: Iterable[int], k: int) -> list[bytes]:
+    """restriction_row of f on every codim-k linear subspace, in canonical
+    order, read off f's truth table point by point."""
+    tt = truth_table(n, monomials)
+    return [restriction_row(tt, basis) for _, basis in codim_forms_and_bases(n, k)]
+
+
 # -- symbolic restriction -------------------------------------------------------
 
 

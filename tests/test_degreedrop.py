@@ -328,6 +328,99 @@ def test_existence_reaches_a_drop_in_the_last_rows(monkeypatch):
     assert [str(v) for v in enumerate_degree_drop(f, 2)] == ["x7=0; x8=0"]
 
 
+def _scan(f, k, ramp=False):
+    """forms, drop flags and ANF rows of _drop_chunks, chunks concatenated."""
+    chunks = list(degreedrop._drop_chunks(f, k, ramp))
+    return tuple(np.concatenate([c[i] for c in chunks]) for i in range(3))
+
+
+def _oracle_scan(f, k):
+    """forms, drop flags and ANF rows from the oracle's truth-table route."""
+    spaces = oracles.codim_forms_and_bases(f.n, k)
+    forms = np.array([rows for rows, _ in spaces], dtype=np.int64).reshape(len(spaces), k)
+    rows = b"".join(oracles.restriction_rows(f.n, f.monomials(), k))
+    rows = np.frombuffer(rows, dtype=np.uint8).reshape(len(spaces), 1 << (f.n - k))
+    degrees = [max((int(s).bit_count() for s in np.flatnonzero(row)), default=-1) for row in rows]
+    return forms, np.array(degrees) < int(f.degree()), rows
+
+
+def _assert_scans_equal(got, want, where):
+    for name, a, b in zip(("forms", "flags", "rows"), got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, *where)
+
+
+def test_restriction_routes_match_the_truth_table_oracle(monkeypatch):
+    # every n <= 7 and k, with substitution for every block (threshold 0),
+    # for none (infinite) and for blocks of 2**8 points and more; pieces cut
+    # small, so that the substitution's pieces fix the high free bits of
+    # their block; from the cache and streamed in pieces of 16 rows
+    rng = random.Random(21)
+    monkeypatch.setattr(degreedrop, "_POINTS", 1 << 9)
+    monkeypatch.setattr(degreedrop, "_PIECE", 16)
+    cached = degreedrop._CACHE_LIMIT
+    for n in range(1, 8):
+        f = random_nonconstant(rng, n)
+        for k in range(n + 1):
+            want = _oracle_scan(f, k)
+            for least in (0, 1 << 8, float("inf")):
+                monkeypatch.setattr(degreedrop, "_SUBSTITUTE", least)
+                for limit in (cached, 0):
+                    monkeypatch.setattr(degreedrop, "_CACHE_LIMIT", limit)
+                    ramp = least == 0  # ramped pieces start at 2**5 points
+                    _assert_scans_equal(_scan(f, k, ramp), want, (n, k, least, limit))
+
+
+def test_restriction_routes_agree_on_wider_scans():
+    # the default routes against the gather alone, and sampled rows against
+    # the oracle, where the full oracle scan would take too long
+    rng = random.Random(22)
+    for n, k, text in (
+        (9, 2, "123+456+789+147+258"),
+        (10, 1, "x1*x2*x3+x4*x5*x6+x7*x8*x9+x1*x10"),
+        (12, 1, "x1*x2*x3*x4+x5*x6*x7*x8+x9*x10*x11*x12+x1*x5*x9*x12"),
+    ):
+        f = ANF.parse(text, n)
+        got = _scan(f, k)
+        least = degreedrop._SUBSTITUTE
+        try:
+            degreedrop._SUBSTITUTE = float("inf")
+            _assert_scans_equal(got, _scan(f, k), (n, k))
+        finally:
+            degreedrop._SUBSTITUTE = least
+        spaces = oracles.codim_forms_and_bases(n, k)
+        tt = oracles.truth_table(n, f.monomials())
+        for i in rng.sample(range(len(spaces)), 12):
+            forms, basis = spaces[i]
+            assert got[0][i].tolist() == list(forms)
+            assert got[2][i].tobytes() == oracles.restriction_row(tt, basis), (n, k, i)
+
+
+def test_both_routes_run_in_the_benchmarked_scans(monkeypatch):
+    # catalog-n8's profile steps scan (8, 2), stream-n9's count (9, 2)
+    for n, k, text in ((8, 2, "123+456+178+238"), (9, 2, "123+456+789+147+258")):
+        calls = {"_substituted": 0, "_gathered": 0}
+        for name in calls:
+            route = getattr(degreedrop, name)
+
+            def counted(*args, route=route, name=name):
+                calls[name] += 1
+                return route(*args)
+
+            monkeypatch.setattr(degreedrop, name, counted)
+        _scan(ANF.parse(text, n), k)
+        monkeypatch.undo()
+        assert calls["_substituted"] > 0 and calls["_gathered"] > 0, (n, k, calls)
+
+
+def test_child_count_marks_and_sorts_alike(monkeypatch):
+    rng = random.Random(23)
+    funcs = [random_degree(rng, n, r) for n, r in ((6, 2), (7, 3), (8, 3))]
+    funcs.append(ANF.from_monomials(8, [0x3F]))
+    marked = [profile(f, 3) for f in funcs]
+    monkeypatch.setattr(degreedrop, "_SEEN_BYTES", 0)
+    assert [profile(f, 3) for f in funcs] == marked
+
+
 def test_lift_rejects_out_of_range_codims():
     f = ANF.parse("123", 5)
     for k in (0, 6):

@@ -1,4 +1,4 @@
-"""Per-stage times of the scan engine, and the rows each stream-n9 exit reduces.
+"""Per-route times of the scan engine, and the rows each stream-n9 exit reduces.
 
 Run from the repository root with the tree to measure first on PYTHONPATH:
 
@@ -6,11 +6,18 @@ Run from the repository root with the tree to measure first on PYTHONPATH:
 
 It prints one JSON object with two keys:
 
-  stages  for each (n, k) in STAGES, the seconds that the truth-table gather,
-          the batched Moebius transform and the normal kernel take over every
-          _POINTS chunk of the codim-k restrictions of a fixed function of
-          degree r, one sample per --repeat (the first fills the caches and
-          is dropped); this is the codim-(k+1) count's whole scan
+  stages  for each (n, k) in STAGES, over a full degreedrop._drop_chunks(f, k)
+          scan of a fixed function f of degree r, one sample per --repeat
+          (the first fills the caches and is dropped):
+            scan_s        the whole scan: restriction rows, degrees, chunks
+            substitute_s  time inside degreedrop._substituted, and
+            substitute_rows  the rows it returned
+            gather_s      time inside degreedrop._gathered (truth-table
+            gather_rows   gather and batched Moebius transform), and rows
+            kernel_s      the normal kernel on the scan's rows, outside scan_s
+          A tree without _substituted restricts by the gather alone, inside
+          _drop_chunks; there gather_s times the same gather and transform
+          over the same _POINTS chunks, outside the scan.
   exits   for each deg_stab item of perfbench's stream-n9 workload at --seed,
           the codim-(k-1) rows and chunks its existence scans reduce, summed
           over k, read by a tap on degreedrop._drop_chunks
@@ -32,33 +39,65 @@ from degstab.anf import ANF, mobius_inplace
 from degstab.bits import xor_points
 from degstab.subspaces import materialized_codim
 
-# (n, k, function): the stream-n9 count, a catalog-n8 profile step, and a
-# codim-1 scan at the widest rows the benchmark reaches
+# (n, k, function): the stream-n9 count, catalog-n8's profile steps, a
+# codim-1 scan at the widest rows the benchmark reaches, and two scans of
+# small blocks only (6, 2) or mostly (7, 3), as criterion 9 and the
+# exhaustive tests make
 STAGES = (
     (9, 2, "123+456+789+147+258"),
     (8, 2, "123+456+178+238"),
+    (8, 1, "123+456+178+238"),
     (12, 1, "x1*x2*x3*x4+x5*x6*x7*x8+x9*x10*x11*x12+x1*x5*x9*x12"),
+    (6, 2, "123+456"),
+    (7, 3, "123+456+147"),
 )
+ROUTES = {"_substituted": "substitute", "_gathered": "gather"}
+
+
+def _timed(fn, key: str, into: dict):
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        rows = fn(*args)
+        into[f"{key}_s"] += time.perf_counter() - t0
+        into[f"{key}_rows"] += len(rows)
+        return rows
+
+    return wrapper
 
 
 def stage_times(n: int, k: int, text: str) -> dict[str, float]:
     f = ANF.parse(text, n)
     r = int(f.degree())
-    tt = f.truth_table()
-    forms, bases = materialized_codim(n, k)
-    step = max(1, degreedrop._POINTS >> (n - k))
-    out = {"gather_s": 0.0, "moebius_s": 0.0, "kernel_s": 0.0}
-    for s in range(0, len(forms), step):
+    out = dict.fromkeys(("scan_s", "substitute_s", "gather_s", "kernel_s"), 0.0)
+    out.update(substitute_rows=0, gather_rows=0)
+    routed = all(hasattr(degreedrop, name) for name in ROUTES)
+    saved = {}
+    if routed:
+        for name, key in ROUTES.items():
+            saved[name] = getattr(degreedrop, name)
+            setattr(degreedrop, name, _timed(saved[name], key, out))
+    chunks = []
+    try:
         t0 = time.perf_counter()
-        rows = tt[xor_points(bases[s : s + step])]
-        t1 = time.perf_counter()
-        mobius_inplace(rows)
-        t2 = time.perf_counter()
+        for _, _, rows in degreedrop._drop_chunks(f, k):
+            chunks.append(rows)
+        out["scan_s"] = time.perf_counter() - t0
+    finally:
+        for name, fn in saved.items():
+            setattr(degreedrop, name, fn)
+    t0 = time.perf_counter()
+    for rows in chunks:
         degreedrop._normal_kernel_dims(rows, r)
-        t3 = time.perf_counter()
-        out["gather_s"] += t1 - t0
-        out["moebius_s"] += t2 - t1
-        out["kernel_s"] += t3 - t2
+    out["kernel_s"] = time.perf_counter() - t0
+    if not routed:
+        tt = f.truth_table()
+        _, bases = materialized_codim(n, k)
+        step = max(1, degreedrop._POINTS >> (n - k))
+        t0 = time.perf_counter()
+        for s in range(0, len(bases), step):
+            mobius_inplace(tt[xor_points(bases[s : s + step])])
+        out["gather_s"] = time.perf_counter() - t0
+        out["gather_rows"] = len(bases)
     return out
 
 
