@@ -12,17 +12,15 @@ import time
 
 from degstab import catalog
 
-THREADS = 4
-
 t0 = time.time()
 print("cubic profiles in 8 variables (co-dimensions 1..3) ...")
-rows = catalog.reproduce_table_deg3(threads=THREADS)
+rows = catalog.reproduce_table_deg3()
 print(f"  all {len(rows)} rows match in {time.time() - t0:.1f}s")
 print("  f2  ->", rows[0].computed)
 print("  f32 ->", rows[-1].computed)
 
 print("\nquintic complements without degree-drop hyperplanes ...")
-rows = catalog.reproduce_table_deg5(threads=THREADS)
+rows = catalog.reproduce_table_deg5()
 for row in rows:
     flag = ""
     if row.computed[1] != row.expected[1]:
@@ -32,13 +30,13 @@ print("  (the f27 cell is a known transcription slip in the recorded"
       " table; see catalog.KNOWN_ERRATA)")
 
 print("\nstability sets and their class-size cross-checks ...")
-checks = catalog.verify_k_sets(threads=THREADS)
+checks = catalog.verify_k_sets()
 width = max(len(name) for name in checks)
 for name, check in checks.items():
     print(f"  {name.ljust(width)}  {'ok' if check.ok else 'MISMATCH'}")
 
 print("\nmaximal stability order by variables and degree ...")
-cells = catalog.reproduce_degstab_table(threads=THREADS)
+cells = catalog.reproduce_degstab_table()
 for n in (6, 7, 8):
     row = [str(c.value) for c in cells if c.n == n]
     print(f"  n={n}: deg_stab by degree 1..{n}: {' '.join(row)}")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from . import f2
-from .bits import MAX_TABLE_VARS, mask_to_vars, parity_table, popcount_table
+from .bits import MAX_TABLE_VARS, check_mask, mask_to_vars, parity_table, popcount_table
 from .errors import (
     AnfSyntaxError,
     ArrayLayoutError,
@@ -141,9 +141,7 @@ class ANF:
         _check_vars(n)
         a = np.zeros(1 << n, dtype=np.uint8)
         for m in masks:
-            if m < 0 or m >> n:
-                raise VariableIndexError(f"monomial mask {m:#x} uses variables beyond x{n}")
-            a[m] ^= 1  # repeated monomials cancel over F_2
+            a[check_mask(n, m)] ^= 1  # repeated monomials cancel over F_2
         return cls(n, a)
 
     @classmethod

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidLengthError
+from .errors import InvalidLengthError, VariableIndexError
 
 # A truth table on n variables takes 2**n bytes; 2**24 is 16 MiB per table.
 MAX_TABLE_VARS = 24
@@ -48,6 +48,13 @@ def mask_to_vars(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
+
+
+def check_mask(n: int, m: int) -> int:
+    """m, checked to be the mask of a monomial in n variables."""
+    if m < 0 or m >> n:
+        raise VariableIndexError(f"monomial mask {m:#x} uses variables beyond x{n}")
+    return m
 
 
 def vars_to_mask(indices) -> int:

@@ -216,14 +216,12 @@ class TableRow(NamedTuple):
     expected: tuple[int, ...]
 
 
-def reproduce_table_deg3(threads: int | None = None) -> list[TableRow]:
+def reproduce_table_deg3() -> list[TableRow]:
     """Recompute the degree-3 profile table in 8 variables.
 
     Returns one row per representative; raises CatalogMismatchError if any
     recomputed 5-tuple differs from the stored one or if the stored
-    coinciding pairs fail to coincide.  `threads` is accepted for
-    compatibility and has no effect.
-    """
+    coinciding pairs fail to coincide."""
     rows = []
     bad = []
     for rep in load_catalog():
@@ -241,14 +239,13 @@ def reproduce_table_deg3(threads: int | None = None) -> list[TableRow]:
     return rows
 
 
-def reproduce_table_deg5(threads: int | None = None) -> list[TableRow]:
+def reproduce_table_deg5() -> list[TableRow]:
     """Recompute the co-dimension 2 counts for the 20 quintic complements
     in 8 variables that have no degree-drop hyperplanes.
 
     Rows carry the recorded reference values; the known erratum is pinned to
     its recomputed value instead (see KNOWN_ERRATA) and stays visible in the
-    returned rows.  `threads` is accepted for compatibility and has no effect.
-    """
+    returned rows."""
     ids = [rep.id for rep in load_catalog()
            if rep.id in HYPERPLANE_STABLE_DEG5_N8]
     rows = []
@@ -271,16 +268,14 @@ class KSetCheck(NamedTuple):
     expected: object
 
 
-def verify_k_sets(threads: int | None = None) -> dict[str, KSetCheck]:
+def verify_k_sets() -> dict[str, KSetCheck]:
     """Recompute the stability sets recorded above and cross-check them.
 
     Covers: which cubic classes in 7 and 8 variables keep their degree at
     co-dimension 1 and 2, emptiness at co-dimension 3, the matching class
     size sums against the counting formula, the quartic and quintic
     complement tables, and the co-dimension 2 drop probability for cubics in
-    7 variables.  Raises CatalogMismatchError on any failed check.
-    `threads` is accepted for compatibility and has no effect.
-    """
+    7 variables.  Raises CatalogMismatchError on any failed check."""
     reps = load_catalog()
     all_ids = [rep.id for rep in reps]
     small_ids = [rep.id for rep in reps if rep.n_native <= 7]
@@ -395,7 +390,7 @@ def _max_stability(ids, n: int, complement: bool, k_max: int) -> int:
     return best
 
 
-def reproduce_degstab_table(threads: int | None = None) -> list[DegStabCell]:
+def reproduce_degstab_table() -> list[DegStabCell]:
     """Recompute every entry of DEGSTAB_TABLE from scratch.
 
     Entries with degree 1, 2, or at least n-2 follow from closed forms.  The
@@ -403,9 +398,7 @@ def reproduce_degstab_table(threads: int | None = None) -> list[DegStabCell]:
     classification: degree 3 directly, degrees 4 and 5 via complements.  The
     (degree 4, 8 variables) entry combines an explicit witness with the
     bound deg_stab(r, n+1) <= deg_stab(r, n) + 1, and the (degree 3, 6
-    variables) entry uses the fast-point embedding argument.  `threads` is
-    accepted for compatibility and has no effect.
-    """
+    variables) entry uses the fast-point embedding argument."""
     from . import special
 
     all_ids = [rep.id for rep in load_catalog()]

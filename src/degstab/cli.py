@@ -3,8 +3,10 @@
 Subcommands: analyze, enumerate-dd, count, construct, catalog, symmetric.
 Exit codes: 0 on success, 1 when a verification or consistency check fails,
 2 on usage errors.  All output is deterministic for a fixed invocation.
---threads is accepted (a negative value is a usage error) but every scan runs
-in one thread, so it never changes the output.
+--threads is accepted (a negative value is a usage error) but passed to
+nothing: every scan runs in one thread, so it never changes the output. Of
+the library functions only degreedrop.dd_hyperplane_normal_space and
+check_dd_fast_duality still take a thread count, which they ignore.
 """
 
 from __future__ import annotations

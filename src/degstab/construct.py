@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 from .anf import ANF, format_monomial_masks
-from .bits import mask_to_vars, vars_to_mask
+from .bits import check_mask, mask_to_vars, vars_to_mask
 from .errors import (
     DivisibilityError,
     InvariantViolationError,
     NotHomogeneousError,
     PreconditionViolatedError,
     TooManyMonomialsError,
-    VariableIndexError,
     ZeroFunctionError,
 )
 
@@ -39,9 +38,7 @@ class MonomialSet:
 
     def __post_init__(self):
         for m in self.masks:
-            if m < 0 or m >> self.n:
-                raise VariableIndexError(f"monomial mask {m:#x} uses variables beyond x{self.n}")
-            if m.bit_count() != self.r:
+            if check_mask(self.n, m).bit_count() != self.r:
                 raise ValueError(f"monomial mask {m:#x} does not have degree {self.r}")
 
     def to_anf(self) -> ANF:

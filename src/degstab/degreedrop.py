@@ -100,7 +100,7 @@ import numpy as np
 
 from . import f2
 from .anf import ANF, NEG_INF, Degree, _check_directions, mobius_inplace
-from .bits import popcount_table, xor_points
+from .bits import check_mask, popcount_table, xor_points
 from .errors import (
     ConstantFunctionError,
     EnumerationRangeError,
@@ -190,6 +190,8 @@ def _drop_chunks(f: ANF, k: int, ramp: bool = False):
     subspace. `anf_rows` holds the restrictions' ANF coefficients, one row
     of 2**(n-k) per subspace. Chunks are sized by _chunk_rows.
     """
+    if not 0 <= k <= f.n:
+        raise EnumerationRangeError(f"co-dimension must lie in 0..n={f.n}, got {k}")
     r = _int_degree(f)
     pieces = _restriction_pieces(f, k, ramp)
     for forms, rows in _regroup(pieces, _chunk_rows(f.n - k, ramp)):
@@ -463,40 +465,29 @@ def restriction_degree(f: ANF, space: AffineSubspace) -> Degree:
 # -- enumeration / counting ---------------------------------------------------
 
 
-def enumerate_degree_drop(f: ANF, k: int, threads: int = 1) -> Iterator[LinearSubspace]:
-    """Degree-drop linear subspaces of co-dimension k, canonical order.
-
-    `threads` is accepted for compatibility and has no effect.
-    """
+def enumerate_degree_drop(f: ANF, k: int) -> Iterator[LinearSubspace]:
+    """Degree-drop linear subspaces of co-dimension k, canonical order."""
     for forms, dd, _ in _drop_chunks(f, k):
         for rows in forms[dd].tolist():
             yield LinearSubspace(f.n, tuple(rows))
 
 
-def degree_drop_count(f: ANF, k: int, threads: int = 1) -> int:
+def degree_drop_count(f: ANF, k: int) -> int:
     """Number of degree-drop linear subspaces of co-dimension k, lifted from
-    the codim-(k-1) restrictions.
-
-    `threads` is accepted for compatibility and has no effect.
-    """
+    the codim-(k-1) restrictions."""
     return _lifted_count(sum(int(c.sum()) for _, _, c in _lifted(f, k)), k)
 
 
-def has_degree_drop_space(f: ANF, k: int, threads: int = 1) -> bool:
+def has_degree_drop_space(f: ANF, k: int) -> bool:
     """True iff some linear subspace of co-dimension k is degree-drop, i.e.
-    some codim-(k-1) restriction has a nonzero normal kernel.
-
-    `threads` is accepted for compatibility and has no effect.
-    """
+    some codim-(k-1) restriction has a nonzero normal kernel."""
     return any(c.any() for _, _, c in _lifted(f, k, ramp=True))
 
 
-def k_membership(f: ANF, k: int, threads: int = 1) -> bool:
+def k_membership(f: ANF, k: int) -> bool:
     """True iff f has no degree-drop space of co-dimension k (class K_k).
 
-    By inclusion this also rules out every co-dimension below k. `threads`
-    is accepted for compatibility and has no effect.
-    """
+    By inclusion this also rules out every co-dimension below k."""
     return not has_degree_drop_space(f, k)
 
 
@@ -532,15 +523,13 @@ class DegreeDropProfile:
         return [{"codim": r.codim, "count": r.count, "new": r.new} for r in self.rows]
 
 
-def profile(f: ANF, k_max: Optional[int] = None, threads: int = 1) -> DegreeDropProfile:
+def profile(f: ANF, k_max: Optional[int] = None) -> DegreeDropProfile:
     """Count degree-drop subspaces per co-dimension 1..k_max.
 
     `new` counts those not contained in any degree-drop space of co-dimension
     one less (for co-dimension 1, new = count). Default k_max is
     min(3, n - deg(f)). Co-dimension k is read off the codim-(k-1) scan, so
-    no space of co-dimension k_max is enumerated. `threads` is accepted for
-    compatibility and has no effect.
-    """
+    no space of co-dimension k_max is enumerated."""
     r = _int_degree(f)
     if k_max is None:
         k_max = max(0, min(3, f.n - r))
@@ -562,13 +551,11 @@ def profile(f: ANF, k_max: Optional[int] = None, threads: int = 1) -> DegreeDrop
     return DegreeDropProfile(f.n, r, tuple(rows))
 
 
-def deg_stab(f: ANF, threads: int = 1) -> int:
+def deg_stab(f: ANF) -> int:
     """Largest k such that f has no degree-drop subspace of co-dimension k.
 
     0 means some hyperplane already drops the degree. Undefined (error) for
-    zero and constant functions. `threads` is accepted for compatibility and
-    has no effect.
-    """
+    zero and constant functions."""
     r = _int_degree(f)
     if r == 0:
         raise ConstantFunctionError("degree stability is undefined for constants")
@@ -590,6 +577,14 @@ def _kernel(n: int, conditions) -> tuple[int, ...]:
     return _canonical_forms(f2.kernel_basis_of_rows(set(conditions), n), n)
 
 
+def _checked_top(n: int, top: Iterable[int]) -> list[int]:
+    """The masks of `top`, checked to be monomials in n variables of one degree."""
+    masks = [check_mask(n, mu) for mu in top]
+    if len({mu.bit_count() for mu in masks}) > 1:
+        raise NotHomogeneousError("the top-degree monomials must share one degree")
+    return masks
+
+
 def hyperplane_normal_basis(n: int, top: Iterable[int]) -> tuple[int, ...]:
     """Basis of the degree-drop hyperplane normals of any function whose
     top-degree monomials are `top`: the a with no degree-(r+1) term in l_a * f_r.
@@ -597,7 +592,7 @@ def hyperplane_normal_basis(n: int, top: Iterable[int]) -> tuple[int, ...]:
     Works on masks alone, so n may exceed the truth-table ceiling.
     """
     conditions: dict[int, int] = {}
-    for mu in top:
+    for mu in _checked_top(n, top):
         for i in range(n):
             bit = 1 << i
             if not mu & bit:
@@ -609,7 +604,7 @@ def fast_point_basis(n: int, top: Iterable[int]) -> tuple[int, ...]:
     """Basis of the fast points of any function whose top-degree monomials
     are `top`: the a with sum a_i df_r/dx_i = 0."""
     conditions: dict[int, int] = {}
-    for mu in top:
+    for mu in _checked_top(n, top):
         rest = mu
         while rest:
             bit = rest & -rest
@@ -643,16 +638,14 @@ class HyperplaneNormalSpace:
         return len(self.normals)
 
 
-def dd_hyperplane_normals(f: ANF, threads: int = 1) -> frozenset[int]:
-    """Normals of the degree-drop hyperplanes.
-
-    `threads` is accepted for compatibility and has no effect.
-    """
+def dd_hyperplane_normals(f: ANF) -> frozenset[int]:
+    """Normals of the degree-drop hyperplanes."""
     return dd_hyperplane_normal_space(f).normals
 
 
 def dd_hyperplane_normal_space(f: ANF, threads: int = 1) -> HyperplaneNormalSpace:
-    """The normals with the RREF basis of their span; `threads` has no effect."""
+    """The normals with the RREF basis of their span. `threads` has no
+    effect; it stays while perfbench passes it (ROADMAP item 3)."""
     basis = hyperplane_normal_basis(f.n, _top(f))
     return HyperplaneNormalSpace(f.n, _members(basis), basis, len(basis))
 
@@ -714,10 +707,13 @@ def check_dd_fast_duality(f: ANF, k_max: int = 1, threads: int = 1) -> DualityRe
     spans a fast space of the complement of f. Requires homogeneous f.
 
     Hyperplanes (always checked) compare the normals kernel of f with the
-    fast-point kernel of the complement; k >= 2 scans every codim-k space.
-    `threads` is accepted for compatibility and has no effect."""
+    fast-point kernel of the complement; k >= 2 scans every codim-k space,
+    so 1 <= k_max <= n. `threads` has no effect; it stays while perfbench
+    passes it (ROADMAP item 3)."""
     if not f or not f.is_homogeneous():
         raise NotHomogeneousError("duality check requires a nonzero homogeneous function")
+    if not 1 <= k_max <= f.n:
+        raise EnumerationRangeError(f"k_max must lie in 1..n={f.n}, got {k_max}")
     r = int(f.degree())
     comp = f.complement()
     normals = _members(hyperplane_normal_basis(f.n, f.monomials()))

@@ -58,11 +58,8 @@ def r_values(f: ANF, k_max: int) -> list[int]:
     return [r_k(f, k).dim for k in range(1, k_max + 1)]
 
 
-def fingerprint(f: ANF, k_max: int = 3, threads: int = 1) -> tuple[int, ...]:
-    """Flat degree-drop profile tuple (count_1, count_2, new_2, ...).
-
-    `threads` is accepted for compatibility and has no effect.
-    """
+def fingerprint(f: ANF, k_max: int = 3) -> tuple[int, ...]:
+    """Flat degree-drop profile tuple (count_1, count_2, new_2, ...)."""
     return degreedrop.profile(f, k_max).fingerprint()
 
 

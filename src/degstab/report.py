@@ -16,15 +16,12 @@ from .anf import ANF
 from .errors import ZeroFunctionError
 
 
-def build_report(f: ANF, source: str, max_codim: int | None = None,
-                 threads: int = 1) -> dict[str, Any]:
+def build_report(f: ANF, source: str, max_codim: int | None = None) -> dict[str, Any]:
     """Full analysis of a function of degree >= 1.
 
     `source` is echoed back as the "input" field.  Checkers and the
     complement analysis are evaluated on the top part, which is what the
-    degree-drop behaviour depends on.  `threads` is accepted for
-    compatibility and has no effect.
-    """
+    degree-drop behaviour depends on."""
     if not f:
         raise ZeroFunctionError("no report for the zero function")
     r = int(f.degree())

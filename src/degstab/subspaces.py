@@ -39,6 +39,7 @@ from .bits import mask_to_vars, parity_table, xor_points
 from .counting import gaussian_binomial
 from .errors import (
     AnfSyntaxError,
+    DimensionMismatchError,
     EnumerationRangeError,
     NotCanonicalError,
     VariableIndexError,
@@ -173,7 +174,7 @@ def contains(inner: AffineSubspace, outer: AffineSubspace) -> bool:
     constraints of `inner` (smaller space = more constraints).
     """
     if inner.n != outer.n:
-        raise ValueError("subspaces live in different dimensions")
+        raise DimensionMismatchError(f"subspaces in {inner.n} and {outer.n} variables")
     n = inner.n
     aug_inner = [a | (((inner.consts >> i) & 1) << n) for i, a in enumerate(inner.forms)]
     aug_outer = [a | (((outer.consts >> i) & 1) << n) for i, a in enumerate(outer.forms)]
@@ -191,7 +192,7 @@ def restrict(func: ANF, space: AffineSubspace) -> ANF:
     renumbered 1..dim in increasing order.
     """
     if func.n != space.n:
-        raise ValueError(f"function on {func.n} variables, subspace in {space.n}")
+        raise DimensionMismatchError(f"function on {func.n} variables, subspace in {space.n}")
     return ANF.from_truth_table(func.truth_table()[space.points()])
 
 

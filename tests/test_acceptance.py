@@ -49,8 +49,6 @@ from degstab.special import (
 from degstab.subspaces import count_codim
 from helpers import random_degree, random_homogeneous
 
-THREADS = 4
-
 
 @contextmanager
 def criterion(number, budget=None):
@@ -70,13 +68,13 @@ def criterion(number, budget=None):
           f" ({time.monotonic() - start:.1f}s)")
 
 
-def hyperplane_count(f, threads=1):
-    return sum(1 for _ in enumerate_degree_drop(f, 1, threads=threads))
+def hyperplane_count(f):
+    return sum(1 for _ in enumerate_degree_drop(f, 1))
 
 
 def test_criterion_1_deg3_table():
     with criterion(1, budget=300):
-        rows = reproduce_table_deg3(threads=THREADS)
+        rows = reproduce_table_deg3()
         assert len(rows) == 31
         assert all(row.computed == row.expected for row in rows)
         by_id = {row.id: row.computed for row in rows}
@@ -86,7 +84,7 @@ def test_criterion_1_deg3_table():
 
 def test_criterion_2_deg5_table():
     with criterion(2, budget=120):
-        rows = reproduce_table_deg5(threads=THREADS)
+        rows = reproduce_table_deg5()
         computed = {row.id: row.computed for row in rows}
         assert len(computed) == 20
         assert all(pair[0] == 0 for pair in computed.values())
@@ -203,8 +201,8 @@ def test_criterion_6_structural_invariants():
         # positive kernel dimension without any matching drop space
         witness = ANF.parse(RANK_WITHOUT_DROP_WITNESS, 8)
         assert r_k(witness, 2).dim == 2
-        assert not has_degree_drop_space(witness, 1, threads=THREADS)
-        assert not has_degree_drop_space(witness, 2, threads=THREADS)
+        assert not has_degree_drop_space(witness, 1)
+        assert not has_degree_drop_space(witness, 2)
 
 
 def test_criterion_7_symmetric_closed_form():
@@ -257,7 +255,7 @@ def test_criterion_9_closed_forms_vs_enumeration():
         # disjoint sums keep degree up to co-dimension p - 1
         for r, p in ((2, 2), (2, 3), (3, 2)):
             for n in range(r * p, 9):
-                assert deg_stab(direct_sum(r, p, n), threads=THREADS) == p - 1
+                assert deg_stab(direct_sum(r, p, n)) == p - 1
 
         # degrees n-1 and n-2
         rng = random.Random(901)
@@ -278,21 +276,20 @@ def test_criterion_9_closed_forms_vs_enumeration():
                 # canonical rank-2t form, and complements respect that
                 for t in range(1, n // 2 + 1):
                     g = canonical_quadratic(t, n).complement()
-                    count = hyperplane_count(g, threads=THREADS)
+                    count = hyperplane_count(g)
                     assert (count == 0) == (t == n // 2)
-                assert deg_stab(canonical_quadratic(n // 2, n).complement(),
-                                threads=THREADS) == 1
+                assert deg_stab(canonical_quadratic(n // 2, n).complement()) == 1
                 assert facts.deg_stab == 1
 
         # the full summary table, including the scanned middle cells
-        cells = reproduce_degstab_table(threads=THREADS)
+        cells = reproduce_degstab_table()
         values = {(cell.n, cell.r): cell.value for cell in cells}
         for n, row in DEGSTAB_TABLE.items():
             for r, expected in enumerate(row, start=1):
                 assert values[(n, r)] == expected
 
         # the co-dimension 2 row witness and the co-dimension 3 emptiness
-        assert deg_stab(representative("f12").anf(7), threads=THREADS) == 2
+        assert deg_stab(representative("f12").anf(7)) == 2
         for rep in load_catalog():
             fingerprint = catalog._profile(rep.id, 8, False, 3)
             assert fingerprint[3] > 0  # every class drops by co-dimension 3

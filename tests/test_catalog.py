@@ -46,8 +46,6 @@ from degstab.degreedrop import (
 from degstab.errors import CatalogMismatchError, SingularMatrixError
 from degstab.invariants import r_k
 
-THREADS = 4
-
 
 def test_load_catalog_shape():
     reps = load_catalog()
@@ -89,7 +87,7 @@ def test_checksum_guard(monkeypatch):
 
 
 def test_reproduce_table_deg3():
-    rows = reproduce_table_deg3(threads=THREADS)
+    rows = reproduce_table_deg3()
     assert len(rows) == 31
     assert all(row.computed == row.expected for row in rows)
     by_id = {row.id: row.computed for row in rows}
@@ -102,7 +100,7 @@ def test_reproduce_table_deg3():
 
 
 def test_reproduce_table_deg5():
-    rows = reproduce_table_deg5(threads=THREADS)
+    rows = reproduce_table_deg5()
     assert len(rows) == 20
     for row in rows:
         assert row.expected == (0, DEG5_N8_CODIM2_COUNTS[row.id])
@@ -161,7 +159,7 @@ def test_errata_classes_identified_by_recorded_profile():
 
 
 def test_verify_k_sets():
-    checks = verify_k_sets(threads=THREADS)
+    checks = verify_k_sets()
     assert all(check.ok for check in checks.values())
     assert checks["hyperplane_stable_deg3_n7"].computed == HYPERPLANE_STABLE_DEG3_N7
     assert checks["hyperplane_stable_deg3_n7_size"].expected == k1_count(3, 7)
@@ -169,7 +167,7 @@ def test_verify_k_sets():
 
 
 def test_reproduce_degstab_table():
-    cells = reproduce_degstab_table(threads=THREADS)
+    cells = reproduce_degstab_table()
     values = {(cell.n, cell.r): cell.value for cell in cells}
     for n, row in DEGSTAB_TABLE.items():
         for r, expected in enumerate(row, start=1):
@@ -181,7 +179,7 @@ def test_reproduce_degstab_table():
 
 def test_f12_attains_codim2_stability():
     f = representative("f12").anf(7)
-    assert deg_stab(f, threads=THREADS) == 2
+    assert deg_stab(f) == 2
     assert fast_points(f).count == 0
 
 
@@ -254,8 +252,8 @@ def test_rank_without_drop_witness():
     f = ANF.parse(RANK_WITHOUT_DROP_WITNESS, 8)
     assert f.degree() == 4
     assert r_k(f, 2).dim > 0
-    assert not has_degree_drop_space(f, 1, threads=THREADS)
-    assert not has_degree_drop_space(f, 2, threads=THREADS)
+    assert not has_degree_drop_space(f, 1)
+    assert not has_degree_drop_space(f, 2)
 
 
 def test_with_drop_total():

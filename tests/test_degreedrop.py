@@ -424,9 +424,18 @@ def test_child_count_marks_and_sorts_alike(monkeypatch):
 def test_lift_rejects_out_of_range_codims():
     f = ANF.parse("123", 5)
     for k in (0, 6):
-        for check in (degree_drop_count, has_degree_drop_space, k_membership):
+        for check in (degree_drop_count, has_degree_drop_space, k_membership,
+                      check_dd_fast_duality):
             with pytest.raises(EnumerationRangeError, match=f"1..n=5, got {k}"):
                 check(f, k)
+
+
+def test_enumeration_rejects_out_of_range_codims():
+    f = ANF.parse("12", 3)
+    for k in (-1, 4):
+        with pytest.raises(EnumerationRangeError, match=f"0..n=3, got {k}"):
+            list(enumerate_degree_drop(f, k))
+    assert list(enumerate_degree_drop(f, 0)) == []
 
 
 def test_kernels_match_scans_on_affine_images():
@@ -459,6 +468,23 @@ def test_normal_basis_above_the_truth_table_ceiling():
     shared = [m | 1 << 39 for m in blocks]
     assert degreedrop.hyperplane_normal_basis(n, shared) == (1 << 39,)
     assert degreedrop.fast_point_basis(n, blocks) == (1 << 39,)
+
+
+@pytest.mark.parametrize(
+    "top, error",
+    [
+        ([0b1000], VariableIndexError),
+        ([-1], VariableIndexError),
+        ([0b1011], VariableIndexError),
+        ([0b001, 0b110], NotHomogeneousError),
+    ],
+)
+def test_mask_kernels_reject_bad_masks(top, error):
+    # without the checks these gave wrong kernels, e.g. () for [0b001, 0b110]
+    # where x2x3 alone has the normals (2, 4)
+    for basis in (degreedrop.hyperplane_normal_basis, degreedrop.fast_point_basis):
+        with pytest.raises(error):
+            basis(3, top)
 
 
 def test_fast_points_of_zero_function_rejected():
@@ -536,15 +562,3 @@ def test_duality_codim_two():
 def test_duality_requires_homogeneous():
     with pytest.raises(NotHomogeneousError):
         check_dd_fast_duality(ANF.parse("12+3", 4))
-
-
-def test_threads_do_not_change_results():
-    rng = random.Random(12)
-    for _ in range(10):
-        n = rng.randint(4, 7)
-        f = random_nonconstant(rng, n)
-        base = profile(f, k_max=2, threads=1)
-        assert profile(f, k_max=2, threads=3) == base
-        assert list(enumerate_degree_drop(f, 2, threads=3)) == list(
-            enumerate_degree_drop(f, 2, threads=1)
-        )

@@ -50,12 +50,6 @@ def test_report_ignores_lower_terms():
     assert lower == top
 
 
-def test_report_thread_determinism():
-    one = build_report(ANF.parse("123+456", 8), "f", threads=1)
-    two = build_report(ANF.parse("123+456", 8), "f", threads=3)
-    assert one == two
-
-
 def test_report_rejects_constants():
     with pytest.raises(ZeroFunctionError):
         build_report(ANF.parse("1", 4) + ANF.parse("1", 4), "0")

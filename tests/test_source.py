@@ -1,6 +1,9 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -46,3 +49,33 @@ def test_declared_numpy_floor_has_bitwise_count():
     floors = [re.fullmatch(r"numpy\s*>=\s*(\d+)\.(\d+)\S*", d) for d in deps if d.startswith("numpy")]
     assert len(floors) == 1 and floors[0], deps
     assert (int(floors[0][1]), int(floors[0][2])) >= (2, 0), deps
+
+
+def _signatures():
+    """(qualified name, signature) of every function, class and method
+    defined in a degstab module."""
+    for info in pkgutil.iter_modules(degstab.__path__):
+        module = importlib.import_module(f"degstab.{info.name}")
+        for name, obj in vars(module).items():
+            if not callable(obj) or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [
+                    (f"{name}.{attr}", getattr(obj, attr))
+                    for attr in vars(obj)
+                    if inspect.isroutine(getattr(obj, attr))
+                ]
+            for qualname, member in members:
+                try:
+                    yield f"{info.name}.{qualname}", inspect.signature(member)
+                except (TypeError, ValueError):  # exception classes have none
+                    continue
+
+
+def test_only_the_benchmarked_functions_take_threads():
+    # every scan runs in one thread; the two functions that perfbench calls
+    # with a positional thread count keep the ignored parameter until the
+    # benchmark stops passing it
+    takes = {name for name, sig in _signatures() if "threads" in sig.parameters}
+    assert takes == {"degreedrop.dd_hyperplane_normal_space", "degreedrop.check_dd_fast_duality"}

@@ -12,6 +12,7 @@ from degstab.bits import xor_points
 from degstab.errors import (
     AnfSyntaxError,
     DegstabError,
+    DimensionMismatchError,
     EnumerationRangeError,
     NotCanonicalError,
     VariableIndexError,
@@ -276,6 +277,14 @@ def test_contains_is_subset_order():
     assert contains(inner, inner)
     disjoint = parse_subspace("x1=1", 4)
     assert not contains(inner, disjoint)
+
+
+def test_mismatched_dimensions_are_rejected():
+    space = parse_subspace("x1=0", 4)
+    with pytest.raises(DimensionMismatchError, match="in 3 and 4 variables"):
+        contains(parse_subspace("x1=0", 3), space)
+    with pytest.raises(DimensionMismatchError, match="on 5 variables, subspace in 4"):
+        restrict(ANF.parse("12", 5), space)
 
 
 def test_format_parse_round_trip():
