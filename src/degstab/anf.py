@@ -163,7 +163,7 @@ class ANF:
         return self._tt
 
     def monomials(self) -> tuple[int, ...]:
-        return tuple(int(m) for m in np.flatnonzero(self.coeffs))
+        return tuple(np.flatnonzero(self.coeffs).tolist())
 
     def degree(self) -> Degree:
         nz = np.flatnonzero(self.coeffs)
@@ -262,8 +262,8 @@ class ANF:
         """
         if not self or not self.is_homogeneous():
             raise NotHomogeneousError("complement requires a nonzero homogeneous function")
-        full = (1 << self.n) - 1
-        return ANF.from_monomials(self.n, [full ^ m for m in self.monomials()])
+        # the complement of mask m is (2**n - 1) ^ m, so the vector reverses
+        return ANF(self.n, self.coeffs[::-1])
 
     def compose_affine(self, matrix, shift: int = 0) -> "ANF":
         """f(x M^T + a) for an invertible matrix M and shift a.

@@ -92,6 +92,7 @@ co-dimensions 0..k_max-1 once each.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -533,6 +534,8 @@ def profile(f: ANF, k_max: Optional[int] = None) -> DegreeDropProfile:
     r = _int_degree(f)
     if k_max is None:
         k_max = max(0, min(3, f.n - r))
+    elif k_max < 1:
+        raise EnumerationRangeError(f"k_max must be >= 1, got {k_max}")
     rows: list[ProfileRow] = []
     for k in range(1, k_max + 1):
         parts = []
@@ -574,15 +577,46 @@ def deg_stab(f: ANF) -> int:
 
 def _kernel(n: int, conditions) -> tuple[int, ...]:
     """Canonical (RREF) basis of {a : parity(a & c) = 0 for every condition c}."""
-    return _canonical_forms(f2.kernel_basis_of_rows(set(conditions), n), n)
+    return _canonical_forms(f2.kernel_basis_of_rows(conditions, n), n)
 
 
 def _checked_top(n: int, top: Iterable[int]) -> list[int]:
     """The masks of `top`, checked to be monomials in n variables of one degree."""
-    masks = [check_mask(n, mu) for mu in top]
-    if len({mu.bit_count() for mu in masks}) > 1:
+    masks = list(top)
+    end = 1 << n
+    degrees = {mu.bit_count() if 0 <= mu < end else -1 for mu in masks}
+    if -1 in degrees:
+        for mu in masks:
+            check_mask(n, mu)
+    if len(degrees) > 1:
         raise NotHomogeneousError("the top-degree monomials must share one degree")
     return masks
+
+
+def _ints(values, width: int) -> np.ndarray:
+    """values as width-bit ints: the smallest unsigned dtype, object above 64 bits."""
+    return np.array(values, dtype=np.min_scalar_type((1 << width) - 1))
+
+
+def _conditions(n: int, top: Sequence[int], k: int = 1, inside: bool = False) -> set[int]:
+    """The distinct conditions read off the masks of f_r, one per monomial nu
+    that they reach: bit j is set iff nu = mu ^ d_j for some mu in top, with
+    d_j the j-th k-subset of the variables in itertools.combinations order
+    (variable bit j at k = 1), outside mu, or inside it if `inside`. Outside,
+    these are the rows of the transposed R_k map, and the normal conditions
+    at k = 1; inside at k = 1, the fast-point conditions.
+    """
+    subsets = _ints([sum(1 << v for v in c) for c in itertools.combinations(range(n), k)], n)
+    masks = _ints(top, n).reshape(-1, 1)
+    mu, j = np.nonzero((masks & subsets) == (subsets if inside else 0))
+    if not len(j):
+        return set()
+    nu = masks[mu, 0] ^ subsets[j]
+    order = np.argsort(nu, kind="stable")
+    nu = nu[order]
+    starts = np.flatnonzero(np.r_[True, nu[1:] != nu[:-1]])
+    bits = _ints([1 << i for i in range(len(subsets))], len(subsets))[j[order]]
+    return set(np.bitwise_or.reduceat(bits, starts).tolist())
 
 
 def hyperplane_normal_basis(n: int, top: Iterable[int]) -> tuple[int, ...]:
@@ -591,26 +625,13 @@ def hyperplane_normal_basis(n: int, top: Iterable[int]) -> tuple[int, ...]:
 
     Works on masks alone, so n may exceed the truth-table ceiling.
     """
-    conditions: dict[int, int] = {}
-    for mu in _checked_top(n, top):
-        for i in range(n):
-            bit = 1 << i
-            if not mu & bit:
-                conditions[mu | bit] = conditions.get(mu | bit, 0) | bit
-    return _kernel(n, conditions.values())
+    return _kernel(n, _conditions(n, _checked_top(n, top)))
 
 
 def fast_point_basis(n: int, top: Iterable[int]) -> tuple[int, ...]:
     """Basis of the fast points of any function whose top-degree monomials
     are `top`: the a with sum a_i df_r/dx_i = 0."""
-    conditions: dict[int, int] = {}
-    for mu in _checked_top(n, top):
-        rest = mu
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            conditions[mu ^ bit] = conditions.get(mu ^ bit, 0) | bit
-    return _kernel(n, conditions.values())
+    return _kernel(n, _conditions(n, _checked_top(n, top), inside=True))
 
 
 def _top(f: ANF) -> tuple[int, ...]:

@@ -13,35 +13,56 @@ from .bits import parity
 from .errors import DimensionMismatchError, SingularMatrixError
 
 
+def _rref_basis(work: list[int], ncols: int) -> dict[int, int]:
+    """RREF basis of the rows keyed on each vector's pivot, its lowest set bit.
+
+    The basis stays reduced as rows come in. A row is reduced by one XOR per
+    pivot bit it carries, at most rank steps; a row left nonzero clears its
+    new pivot from the others, unless no row so far had that bit. The scan
+    stops once the rank reaches min(ncols, len(work)).
+    """
+    for row in work:
+        if row >> ncols:
+            raise DimensionMismatchError(f"row {row:#x} does not fit in {ncols} columns")
+    index: dict[int, int] = {}
+    vecs: list[int] = []
+    pivots = seen = 0
+    full = min(ncols, len(work))
+    for row in work:
+        if len(vecs) == full:
+            break
+        bits = row & pivots
+        while bits:
+            b = bits & -bits
+            row ^= vecs[index[b]]
+            bits ^= b
+        if row:
+            p = row & -row
+            if seen & p:
+                vecs = [v ^ row if v & p else v for v in vecs]
+            seen |= row
+            index[p] = len(vecs)
+            vecs.append(row)
+            pivots |= p
+    return {p: vecs[i] for p, i in index.items()}
+
+
 def rref_rows(rows: Iterable[int], ncols: int) -> tuple[list[int], int, tuple[int, ...]]:
     """Reduced row echelon form. Returns (rows, rank, pivot_columns).
 
-    Zero rows are kept at the bottom so len(rows) is preserved.
+    A row's pivot is its lowest set bit, and the RREF is unique. Zero rows
+    are kept at the bottom so len(rows) is preserved.
     """
     work = list(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(work)):
-            if (work[i] >> c) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> c) & 1:
-                work[i] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, r, tuple(pivots)
+    basis = _rref_basis(work, ncols)
+    lows = sorted(basis)
+    red = [basis[low] for low in lows]
+    pivots = tuple(low.bit_length() - 1 for low in lows)
+    return red + [0] * (len(work) - len(red)), len(red), pivots
 
 
 def rank_of_rows(rows: Iterable[int], ncols: int) -> int:
-    return rref_rows(rows, ncols)[1]
+    return len(_rref_basis(list(rows), ncols))
 
 
 def kernel_basis_of_rows(rows: Iterable[int], ncols: int) -> list[int]:
@@ -51,18 +72,9 @@ def kernel_basis_of_rows(rows: Iterable[int], ncols: int) -> list[int]:
     vector for free column c has bit c set and bits only at pivot columns
     otherwise. This canonical shape is relied on by the subspace code.
     """
-    red, rank, pivots = rref_rows(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        v = 1 << c
-        for i, p in enumerate(pivots):
-            if (red[i] >> c) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
+    red, _, pivots = rref_rows(rows, ncols)
+    free = sorted(set(range(ncols)).difference(pivots))
+    return [(1 << c) | sum(1 << p for row, p in zip(red, pivots) if row >> c & 1) for c in free]
 
 
 class F2Matrix:

@@ -4,17 +4,20 @@ R_k(f) is the kernel dimension of the linear map sending a homogeneous
 degree-k polynomial g to the top-degree part of g*f. Its positivity is
 necessary for a co-dimension-k degree-drop space to exist, and R_1 determines
 the number of degree-drop hyperplanes exactly (2**R_1 - 1).
+
+r_k ranks the transpose from the monomial masks alone, with one row per
+degree-(r+k) monomial that some product x^m * x^mu reaches: it builds only
+the reached monomials and needs no truth table.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import NamedTuple
+import math
+from typing import NamedTuple, Sequence
 
 from . import degreedrop, f2
 from .anf import ANF
-from .bits import vars_to_mask
-from .errors import NotHomogeneousError, ZeroFunctionError
+from .errors import EnumerationRangeError, NotHomogeneousError, ZeroFunctionError
 
 
 class RkValue(NamedTuple):
@@ -22,39 +25,28 @@ class RkValue(NamedTuple):
     dim: int
 
 
-def _top_masks(f: ANF) -> tuple[int, list[int]]:
-    if not f:
-        raise ZeroFunctionError("R_k is undefined for the zero function")
-    if not f.is_homogeneous():
-        raise NotHomogeneousError("R_k requires a homogeneous function")
-    return int(f.degree()), list(f.monomials())
+def r_k_of_masks(n: int, top: Sequence[int], k: int) -> int:
+    """R_k of the homogeneous function with monomial masks `top`, for any n:
+    C(n, k) minus the rank of the transposed map."""
+    width = math.comb(n, k)
+    top = degreedrop._checked_top(n, top)
+    return width - f2.rank_of_rows(degreedrop._conditions(n, top, k), width)
 
 
 def r_k(f: ANF, k: int) -> RkValue:
     """Kernel dimension of g -> top part of g*f on degree-k inputs."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    r, monomials = _top_masks(f)
-    n = f.n
-    domain = [vars_to_mask(c) for c in itertools.combinations(range(1, n + 1), k)]
-    codomain = {
-        vars_to_mask(c): i
-        for i, c in enumerate(itertools.combinations(range(1, n + 1), r + k))
-    }
-    # top part of x_m * f keeps exactly the products with disjoint monomials,
-    # and those never collide, so no cancellation bookkeeping is needed
-    rows = []
-    for m in domain:
-        row = 0
-        for mu in monomials:
-            if mu & m == 0:
-                row |= 1 << codomain[mu | m]
-        rows.append(row)
-    rank = f2.rank_of_rows(rows, len(codomain)) if codomain else 0
-    return RkValue(k, len(domain) - rank)
+    if not f:
+        raise ZeroFunctionError("R_k is undefined for the zero function")
+    if not f.is_homogeneous():
+        raise NotHomogeneousError("R_k requires a homogeneous function")
+    return RkValue(k, r_k_of_masks(f.n, f.monomials(), k))
 
 
 def r_values(f: ANF, k_max: int) -> list[int]:
+    if k_max < 1:
+        raise EnumerationRangeError(f"k_max must be >= 1, got {k_max}")
     return [r_k(f, k).dim for k in range(1, k_max + 1)]
 
 

@@ -82,6 +82,86 @@ def f2_rank(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
+def gauss_jordan(rows: Iterable[int], ncols: int) -> tuple[list[int], int, tuple[int, ...]]:
+    """RREF column by column, each pivot the lowest set bit of its row:
+    (rows with the zero rows at the bottom, rank, pivot columns)."""
+    work = list(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, len(work)):
+            if (work[i] >> c) & 1:
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        for i in range(len(work)):
+            if i != r and (work[i] >> c) & 1:
+                work[i] ^= work[r]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work, r, tuple(pivots)
+
+
+def kernel_basis(rows: Iterable[int], ncols: int) -> list[int]:
+    """Solution basis of the rows, one vector per free column, increasing."""
+    red, rank, _ = gauss_jordan(rows, ncols)
+    return _kernel_from_rref(ncols, red[:rank])
+
+
+def canonical_kernel(n: int, conditions: Iterable[int]) -> tuple[int, ...]:
+    """RREF basis of {a : parity(a & c) = 0 for every condition c}."""
+    basis = kernel_basis(conditions, n)
+    red, rank, _ = gauss_jordan(basis, n)
+    return tuple(red[:rank])
+
+
+def normal_conditions(n: int, monomials: Iterable[int]) -> list[int]:
+    """Per degree-(r+1) monomial nu of l_a * f_r, the variables i in nu
+    with nu - i in f_r."""
+    conditions: dict[int, int] = {}
+    for mu in monomials:
+        for i in range(n):
+            bit = 1 << i
+            if not mu & bit:
+                conditions[mu | bit] = conditions.get(mu | bit, 0) | bit
+    return list(conditions.values())
+
+
+def fast_point_conditions(n: int, monomials: Iterable[int]) -> list[int]:
+    """Per degree-(r-1) monomial nu of sum a_i df_r/dx_i, the variables i
+    outside nu with nu + i in f_r."""
+    conditions: dict[int, int] = {}
+    for mu in monomials:
+        rest = mu
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            conditions[mu ^ bit] = conditions.get(mu ^ bit, 0) | bit
+    return list(conditions.values())
+
+
+def dense_r_k(n: int, monomials: Sequence[int], k: int) -> int:
+    """R_k with one row per degree-k monomial m over a column for each of
+    the C(n, r + k) degree-(r + k) monomials: the products x^m * x^mu with
+    disjoint masks, which never collide."""
+    r = degree_of_monomials(monomials)
+    domain = [sum(1 << v for v in c) for c in combinations(range(n), k)]
+    codomain = {sum(1 << v for v in c): i for i, c in enumerate(combinations(range(n), r + k))}
+    rows = []
+    for m in domain:
+        row = 0
+        for mu in monomials:
+            if mu & m == 0:
+                row |= 1 << codomain[mu | m]
+        rows.append(row)
+    return len(domain) - gauss_jordan(rows, len(codomain))[1]
+
+
 def span_set(rows: Iterable[int]) -> frozenset[int]:
     """All nonzero XOR combinations of the rows."""
     members = {0}

@@ -204,6 +204,16 @@ def test_complement_involution_and_degree():
             assert c.complement() == f
 
 
+def test_complement_matches_the_oracle():
+    rng = random.Random(10)
+    for _ in range(60):
+        n = rng.randint(0, 10)
+        f = random_homogeneous(rng, n, rng.randint(0, n))
+        c = f.complement()
+        assert set(c.monomials()) == oracles.complement_monomials(n, f.monomials())
+        assert c.n == n and not c.coeffs.flags.writeable
+
+
 def test_complement_rejects_mixed_degrees():
     with pytest.raises(NotHomogeneousError):
         ANF.parse("12+3", 4).complement()

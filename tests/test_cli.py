@@ -334,6 +334,21 @@ def test_console_script(capsys):
     assert capsys.readouterr().out == "34355647824\n"
 
 
+def test_python_dash_m_degstab_runs_the_cli():
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "analyze", "--n", "4", "--anf", anf],
+            capture_output=True, text=True, env=_env_for_package_under_test(),
+        )
+        for anf in ("12", "0")
+        for module in ("degstab", "degstab.cli")
+    ]
+    assert [p.returncode for p in outs] == [0, 0, 2, 2]
+    assert outs[0].stdout == outs[1].stdout and "deg_stab" in outs[0].stdout
+    assert outs[2].stdout == outs[3].stdout == ""
+    assert outs[2].stderr == outs[3].stderr
+
+
 @pytest.mark.skipif(
     shutil.which("degstab") is None,
     reason="no degstab executable on PATH;"

@@ -17,7 +17,7 @@ from degstab import (
     k_membership,
     profile,
 )
-from degstab import degreedrop
+from degstab import construct, degreedrop
 from degstab.degreedrop import (
     dd_hyperplane_normals,
     degree_drop_count,
@@ -468,6 +468,37 @@ def test_normal_basis_above_the_truth_table_ceiling():
     shared = [m | 1 << 39 for m in blocks]
     assert degreedrop.hyperplane_normal_basis(n, shared) == (1 << 39,)
     assert degreedrop.fast_point_basis(n, blocks) == (1 << 39,)
+
+
+def test_mask_kernels_at_70_variables_match_python_ints():
+    # above 64 variables the masks are Python ints on object arrays; the
+    # oracle builds the conditions in a dict and eliminates column by column
+    rng = random.Random(70)
+    n = 70
+    layer = lambda r, pool: [sum(1 << v for v in rng.sample(pool, r)) for _ in range(40)]
+    tops = [
+        construct.randomized_construction(n, 4, 1).masks,
+        layer(4, range(n)),
+        [m | 1 << 69 for m in layer(3, range(69))],  # x70 in every monomial
+        [m | 1 << 5 | 1 << 66 for m in layer(2, range(60))],
+        layer(3, range(50, 70)),  # x1..x50 unused
+    ]
+    for top in tops:
+        top = sorted(set(top))
+        normals = degreedrop.hyperplane_normal_basis(n, top)
+        fast = degreedrop.fast_point_basis(n, top)
+        assert normals == oracles.canonical_kernel(n, oracles.normal_conditions(n, top))
+        assert fast == oracles.canonical_kernel(n, oracles.fast_point_conditions(n, top))
+    assert len(normals) == 0 and len(fast) == 50
+
+
+def test_profile_rejects_an_empty_range():
+    f = ANF.parse("123", 5)
+    for k_max in (0, -3):
+        with pytest.raises(EnumerationRangeError, match=f"got {k_max}"):
+            profile(f, k_max)
+    # the default range may be empty: degree n leaves no co-dimension
+    assert profile(ANF.parse("12345", 5)).rows == ()
 
 
 @pytest.mark.parametrize(

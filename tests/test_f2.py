@@ -66,6 +66,46 @@ def test_kernel_basis_annihilates_rows():
                 assert (a & v).bit_count() % 2 == 0
 
 
+def _low_rank_rows(rng, ncols, nrows, rank):
+    """nrows rows of ncols bits drawn from the span of `rank` random rows,
+    so duplicates and zero rows occur; a few zero rows are added outright."""
+    gens = [rng.getrandbits(ncols) if ncols else 0 for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        row = 0
+        for g in gens:
+            if rng.random() < 0.5:
+                row ^= g
+        rows.append(row)
+    rows += [0] * rng.randint(0, 2) + rows[: rng.randint(0, 3)]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_elimination_matches_the_gauss_jordan_oracle():
+    # more rows than columns, fewer, duplicates and zero rows, up to 800 columns
+    rng = random.Random(8)
+    for ncols in (0, 1, 2, 3, 7, 12, 63, 64, 65, 130, 800):
+        for nrows, rank in ((0, 0), (3, 3), (ncols + 5, ncols), (2 * ncols + 3, ncols // 2),
+                            (40, 40), (60, 25)):
+            rows = _low_rank_rows(rng, ncols, nrows, rank)
+            want = oracles.gauss_jordan(rows, ncols)
+            assert rref_rows(rows, ncols) == want
+            assert rank_of_rows(iter(rows), ncols) == want[1]
+            assert kernel_basis_of_rows(rows, ncols) == oracles.kernel_basis(rows, ncols)
+
+
+def test_rows_wider_than_the_columns_are_rejected():
+    # a bit at or above ncols would never be a pivot, and the elimination
+    # would lose its row
+    for rows, ncols in (([0b011, 0b100], 2), ([1, -1], 4), ([1], 0)):
+        for fn in (rref_rows, rank_of_rows, kernel_basis_of_rows):
+            with pytest.raises(DimensionMismatchError, match=f"in {ncols} columns"):
+                fn(rows, ncols)
+    with pytest.raises(DimensionMismatchError, match="row 0x4 does not fit in 2 columns"):
+        rref_rows([0b011, 0b100], 2)
+
+
 def test_matrix_apply_and_transpose():
     m = F2Matrix([0b011, 0b110, 0b100], 3)
     # row i gives output bit i as parity of the masked input

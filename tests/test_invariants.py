@@ -7,9 +7,9 @@ from math import comb
 import pytest
 
 import oracles
-from degstab import ANF, dd_hyperplane_normal_space, has_degree_drop_space, r_k, r_values
-from degstab.errors import NotHomogeneousError, ZeroFunctionError
-from degstab.invariants import fingerprint, rank_mod_lower
+from degstab import ANF, catalog, dd_hyperplane_normal_space, degreedrop, has_degree_drop_space, r_k, r_values
+from degstab.errors import EnumerationRangeError, NotHomogeneousError, ZeroFunctionError
+from degstab.invariants import fingerprint, r_k_of_masks, rank_mod_lower
 from helpers import random_homogeneous
 
 
@@ -43,6 +43,34 @@ def test_rk_matches_explicit_multiplication():
             got = r_k(f, k)
             assert got.k == k
             assert got.dim == _rk_oracle(f, k)
+
+
+def _rk_cases():
+    """The 31 catalog cubics at n = 8, then random homogeneous functions
+    with n <= 10."""
+    cases = [rep.anf(8) for rep in catalog.load_catalog()]
+    rng = random.Random(12)
+    for _ in range(30):
+        n = rng.randint(1, 10)
+        cases.append(random_homogeneous(rng, n, rng.randint(1, n)))
+    return cases
+
+
+def test_rk_matches_the_dense_oracle():
+    for f in _rk_cases():
+        top = f.monomials()
+        dims = [r_k(f, k).dim for k in (1, 2, 3)]
+        assert dims == [oracles.dense_r_k(f.n, top, k) for k in (1, 2, 3)]
+        assert r_values(f, 3) == dims
+        assert dims[0] == len(degreedrop.hyperplane_normal_basis(f.n, top))
+        assert r_k_of_masks(f.n, top, 2) == dims[1]
+
+
+def test_r_values_rejects_an_empty_range():
+    f = ANF.parse("123", 5)
+    for k_max in (0, -1):
+        with pytest.raises(EnumerationRangeError, match=f"got {k_max}"):
+            r_values(f, k_max)
 
 
 def test_r1_determines_hyperplane_count():

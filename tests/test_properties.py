@@ -26,7 +26,7 @@ from degstab import (
     r_k,
 )
 from degstab.counting import gaussian_binomial
-from degstab.f2 import random_invertible, rref_rows
+from degstab.f2 import kernel_basis_of_rows, random_invertible, rank_of_rows, rref_rows
 from degstab.subspaces import _CACHE_LIMIT, codim_rank, count_codim
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -134,6 +134,33 @@ def test_new_codim2_closed_form(case):
     n, r1 = g.n, dd_hyperplane_normal_space(g).dim
     row = profile(g, 2).rows[1]
     assert row.new == row.count - gaussian_binomial(n, 2) + 4**r1 * gaussian_binomial(n - r1, 2)
+
+
+@st.composite
+def bit_matrices(draw, max_cols=70):
+    """(rows, ncols): rows drawn from the span of a few generators, so
+    repeats, zero rows and more rows than columns all come up."""
+    ncols = draw(st.integers(0, max_cols))
+    gens = draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=ncols + 2))
+    picks = draw(st.lists(st.integers(0, (1 << len(gens)) - 1), max_size=2 * ncols + 4))
+    rows = []
+    for pick in picks:
+        row = 0
+        for j, g in enumerate(gens):
+            if pick >> j & 1:
+                row ^= g
+        rows.append(row)
+    return rows, ncols
+
+
+@PROPERTY
+@given(bit_matrices())
+def test_elimination_matches_gauss_jordan(case):
+    rows, ncols = case
+    want = oracles.gauss_jordan(rows, ncols)
+    assert rref_rows(rows, ncols) == want
+    assert rank_of_rows(rows, ncols) == want[1] == oracles.f2_rank(rows)
+    assert kernel_basis_of_rows(rows, ncols) == oracles.kernel_basis(rows, ncols)
 
 
 @st.composite

@@ -4,7 +4,7 @@ Run from the repository root with the tree to measure first on PYTHONPATH:
 
     PYTHONPATH=src python3 tools/bench_scan.py --repeat 5 --seed 1
 
-It prints one JSON object with two keys:
+It prints one JSON object with three keys:
 
   stages  for each (n, k) in STAGES, over a full degreedrop._drop_chunks(f, k)
           scan of a fixed function f of degree r, one sample per --repeat
@@ -21,9 +21,20 @@ It prints one JSON object with two keys:
   exits   for each deg_stab item of perfbench's stream-n9 workload at --seed,
           the codim-(k-1) rows and chunks its existence scans reduce, summed
           over k, read by a tap on degreedrop._drop_chunks
+  kernels seconds per call of the mask-level kernels, one sample per
+          --repeat (after one warm-up pass), each the mean over the inputs:
+            hyperplane_normal_basis, r_k_1 .. r_k_3, complement
+                          on the top parts of the 24 functions of perfbench's
+                          hyper-n12 workload at --seed, read by a tap on
+                          degreedrop.dd_hyperplane_normal_space
+            fast_point_basis  on their complements, as the duality check
+                          calls it
+            r_k_n20_k1, r_k_n20_k2  invariants.r_k on one random quartic at
+                          n = 20 (each monomial kept with probability 1/2)
 
-It calls private scan functions that the tree's degreedrop module has had
-since the lifted engine, so one copy of this file measures older trees too.
+The stages call private scan functions that the tree's degreedrop module has
+had since the lifted engine, and the kernels only public functions, so one
+copy of this file measures older trees too.
 """
 
 from __future__ import annotations
@@ -31,10 +42,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
+from itertools import combinations
 
-from degstab import degreedrop
+from degstab import degreedrop, invariants
 from degstab.anf import ANF, mobius_inplace
 from degstab.bits import xor_points
 from degstab.subspaces import materialized_codim
@@ -102,9 +115,6 @@ def stage_times(n: int, k: int, text: str) -> dict[str, float]:
 
 
 def exit_scans(seed: int) -> list[dict]:
-    sys.path.insert(0, os.path.join(os.getcwd(), "perfbench"))
-    import workloads
-
     seen = {"rows": 0, "chunks": 0}
     scan = degreedrop._drop_chunks
 
@@ -117,7 +127,7 @@ def exit_scans(seed: int) -> list[dict]:
     degreedrop._drop_chunks = tap
     out = []
     try:
-        for item in workloads.build("stream-n9", seed, workloads.load_goldens()):
+        for item in _workload("stream-n9", seed):
             if not item.name.startswith("deg_stab:"):
                 continue
             seen.update(rows=0, chunks=0)
@@ -127,6 +137,56 @@ def exit_scans(seed: int) -> list[dict]:
             out.append({"item": item.name, "deg_stab": value, **seen})
     finally:
         degreedrop._drop_chunks = scan
+    return out
+
+
+def _workload(name: str, seed: int):
+    sys.path.insert(0, os.path.join(os.getcwd(), "perfbench"))
+    import workloads
+
+    return workloads.build(name, seed, workloads.load_goldens())
+
+
+def _per_call(fn, inputs: list, repeat: int) -> list[float]:
+    """Mean seconds per call of fn over the inputs, one sample per pass."""
+    samples = []
+    for _ in range(repeat + 1):
+        t0 = time.perf_counter()
+        for x in inputs:
+            fn(x)
+        samples.append(round((time.perf_counter() - t0) / len(inputs), 7))
+    return samples[1:]
+
+
+def kernel_times(seed: int, repeat: int) -> dict[str, list[float]]:
+    seen = []
+    space = degreedrop.dd_hyperplane_normal_space
+
+    def tap(g, *args):
+        seen.append(g)
+        return space(g, *args)
+
+    degreedrop.dd_hyperplane_normal_space = tap
+    try:
+        for item in _workload("hyper-n12", seed):
+            item.run()
+    finally:
+        degreedrop.dd_hyperplane_normal_space = space
+    tops = [g.top_part() for g in seen]
+    masks = [(t.n, t.monomials()) for t in tops]
+    comps = [(t.n, t.complement().monomials()) for t in tops]
+    rng = random.Random("bench_scan:n20")
+    layer = [sum(1 << v for v in c) for c in combinations(range(20), 4)]
+    quartic = [ANF.from_monomials(20, [m for m in layer if rng.random() < 0.5])]
+    out = {
+        "hyperplane_normal_basis": _per_call(lambda a: degreedrop.hyperplane_normal_basis(*a), masks, repeat),
+        "fast_point_basis": _per_call(lambda a: degreedrop.fast_point_basis(*a), comps, repeat),
+    }
+    for k in (1, 2, 3):
+        out[f"r_k_{k}"] = _per_call(lambda t: invariants.r_k(t, k), tops, repeat)
+    out["complement"] = _per_call(ANF.complement, tops, repeat)
+    for k in (1, 2):
+        out[f"r_k_n20_k{k}"] = _per_call(lambda f: invariants.r_k(f, k), quartic, repeat)
     return out
 
 
@@ -143,7 +203,11 @@ def main() -> int:
             "rows": len(materialized_codim(n, k)[0]),
             **{key: [round(s[key], 5) for s in samples] for key in samples[0]},
         }
-    print(json.dumps({"stages": stages, "exits": exit_scans(args.seed)}))
+    print(json.dumps({
+        "stages": stages,
+        "exits": exit_scans(args.seed),
+        "kernels": kernel_times(args.seed, args.repeat),
+    }))
     return 0
 
 
