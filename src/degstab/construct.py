@@ -207,6 +207,8 @@ def randomized_construction(n: int, r: int, seed: int = 0, extend_prob: float = 
     monomial is chosen per variable; with extend_prob > 0, further compatible
     monomials are appended with that probability each.
     """
+    if not 0 <= extend_prob <= 1:  # also rejects NaN
+        raise ValueError(f"extend_prob must lie in [0, 1], got {extend_prob}")
     ok = (n >= 10 and 3 <= r <= n - 4) or (n == 9 and r in (4, 5))
     if not ok:
         raise PreconditionViolatedError(
@@ -246,8 +248,6 @@ def randomized_construction(n: int, r: int, seed: int = 0, extend_prob: float = 
 
     extension: list[int] = []
     if extend_prob > 0:
-        if not 0 < extend_prob <= 1:
-            raise ValueError("extend_prob must be in (0, 1]")
         for combo in itertools.combinations(range(1, n + 1), r):
             m = vars_to_mask(combo)
             if m in forbidden or m in chosen_set:
@@ -273,6 +273,8 @@ def circular_construction(n: int, r: int, k: int) -> ANF:
     by k+1. Pairwise intersections are r-k-1 or less by construction; the
     variable-avoidance condition for co-dimension k is NOT guaranteed for
     small n and should be checked with check_avoidance."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     if n % (k + 1) != 0:
         raise DivisibilityError(f"need (k+1) | n, got n={n}, k={k}")
     if not k + 1 <= r <= n - k - 1:

@@ -56,6 +56,8 @@ def dd_hyperplane_histogram(r: int, n: int) -> list[int]:
     """Entry j (j = 0..r) counts functions with exactly 2**j - 1 degree-drop
     hyperplanes. Entry 0 is k1_count; entry r-1 is always 0; the entries sum
     to 2**C(n,r) - 1."""
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     hist = [hyperplane_histogram_entry(r, n, j) for j in range(r + 1)]
     if sum(hist) != (1 << comb(n, r)) - 1:
         raise InvariantViolationError(

@@ -4,9 +4,12 @@ An affine subspace A is a degree-drop subspace of f when deg(f|_A) < deg(f).
 Whether A is degree-drop depends only on its underlying linear space, so all
 enumeration here runs over linear subspaces (canonical annihilator forms).
 
-The scan engine restricts one function to many subspaces at once and reads
-the degrees off the restrictions' ANF rows by a popcount reduction. It runs
-in chunks of the enumeration order. An existence query
+The scan engine restricts one function f of degree r to many subspaces V at
+once and flags V as a drop when f|_V's weight-r ANF coefficients are zero:
+substitution never raises a degree, so deg(f|_V) <= r. Likewise k fast
+directions have a k-fold derivative of degree <= r - k (each derivative
+lowers the degree), flagged when its weight r - k is zero (empty if k > r).
+It runs in chunks of the enumeration order. An existence query
 (has_degree_drop_space, and through it k_membership and deg_stab) stops at
 the first chunk with a drop, so its chunks ramp: the first holds
 _POINTS >> _RAMP points and each next one twice as many, up to _POINTS.
@@ -147,17 +150,21 @@ def _int_degree(f: ANF) -> int:
     return int(d)
 
 
-def _degrees(rows: np.ndarray) -> np.ndarray:
-    """Degrees of the ANF rows (last axis 2**m); int16, -1 for the zero function."""
-    pc1 = popcount_table(rows.shape[-1].bit_length() - 1) + np.uint8(1)
-    return (rows * pc1).max(axis=-1).astype(np.int16) - 1
+@lru_cache(maxsize=None)
+def _weight(m: int, w: int) -> np.ndarray:
+    """The positions of the weight-w coefficients of an ANF row on m
+    variables, ascending and read-only; empty for w outside 0..m."""
+    at = np.flatnonzero(popcount_table(m) == w)
+    at.setflags(write=False)
+    return at
 
 
 def _is_fast(tt: np.ndarray, dirs: np.ndarray, r: int) -> np.ndarray:
-    """Per row of k directions: is the derivative of f along their span zero
-    or of degree < r - k? `tt` is f's truth table, `dirs` has shape (rows, k).
+    """Per row of k directions: is the derivative of f along their span of
+    degree < r - k, i.e. zero in weight r - k? `tt` is f's truth table, of
+    degree at most r, and `dirs` has shape (rows, k).
     """
-    k = dirs.shape[-1]
+    k, n = dirs.shape[-1], tt.size.bit_length() - 1
     x = np.arange(tt.size, dtype=np.uint32)
     offs = xor_points(dirs)
     flags = np.empty(len(dirs), dtype=bool)
@@ -167,8 +174,7 @@ def _is_fast(tt: np.ndarray, dirs: np.ndarray, r: int) -> np.ndarray:
         der = tt[x ^ o[:, 1:2]] ^ tt
         for j in range(2, 1 << k):
             der ^= tt[x ^ o[:, j : j + 1]]
-        degs = _degrees(mobius_inplace(der))
-        flags[s : s + len(o)] = (degs == -1) | (degs < r - k)
+        flags[s : s + len(o)] = ~mobius_inplace(der)[:, _weight(n, r - k)].any(axis=1)
     return flags
 
 
@@ -196,7 +202,7 @@ def _drop_chunks(f: ANF, k: int, ramp: bool = False):
     r = _int_degree(f)
     pieces = _restriction_pieces(f, k, ramp)
     for forms, rows in _regroup(pieces, _chunk_rows(f.n - k, ramp)):
-        yield forms, _degrees(rows) < r, rows
+        yield forms, ~rows[:, _weight(f.n - k, r)].any(axis=1), rows
 
 
 def _restriction_pieces(f: ANF, k: int, ramp: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -342,7 +348,7 @@ def _normal_conditions(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     its t-th variable i. Returns (index of nu_j - i, bit of i), each of shape
     (r + 1, C(m, r + 1)); the bits in the smallest dtype that holds m bits.
     """
-    nu = np.flatnonzero(popcount_table(m) == r + 1)
+    nu = _weight(m, r + 1)
     rest = nu.copy()
     src, bit = [], []
     for _ in range(r + 1):

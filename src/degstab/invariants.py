@@ -62,4 +62,6 @@ def rank_mod_lower(f: ANF) -> int:
     of f up to affine equivalence; exact when the estimate equals n (a
     function has no fast points iff no change of variables removes one).
     """
-    return f.n - degreedrop.fast_points(f).dim
+    if not f:
+        raise ZeroFunctionError("fast points are undefined for the zero function")
+    return f.n - len(degreedrop.fast_point_basis(f.n, f.top_part().monomials()))

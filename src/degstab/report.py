@@ -5,6 +5,16 @@ its degree-drop profile, stability order, hyperplane normal space, product
 rank invariants, the monomial-condition checker verdicts, and the fast point
 space of the complement.  Two internal consistency checks tie the pieces
 together; a report is only considered verified when both hold.
+
+* hyperplane_count_is_rank_power: the profile's codim-1 count, from the
+  lift's batched elimination on f's ANF row, is 2**R_1 - 1, with R_1 the
+  rank defect of the map built from the monomial masks.
+* hyperplane_duality: the degree-drop normals of f_r and the fast points of
+  its complement, kernels of different conditions, have one RREF basis
+  (equal spans have equal RREF bases).
+
+Both spaces are read once, as RREF bases, so no set of up to 2**n - 1
+points is built: a dimension and 2**dim - 1 are all the report shows.
 """
 
 from __future__ import annotations
@@ -31,37 +41,28 @@ def build_report(f: ANF, source: str, max_codim: int | None = None) -> dict[str,
 
     prof = degreedrop.profile(f, k_max=max_codim)
     stab = degreedrop.deg_stab(f)
-    normals = degreedrop.dd_hyperplane_normal_space(f)
+    normals = degreedrop.hyperplane_normal_basis(f.n, top.monomials())
     rvals = invariants.r_values(top, max_codim)
-
-    hyper = construct.check_hyperplane_sufficient(top)
-    fastpoint = construct.check_fastpoint_sufficient(top)
-    comp_fast = degreedrop.fast_points(top.complement())
-    duality = degreedrop.check_dd_fast_duality(top, k_max=1)
-
-    consistency = {
-        "hyperplane_count_is_rank_power": normals.count == (1 << rvals[0]) - 1,
-        "hyperplane_duality": duality.ok,
-    }
+    comp_fast = degreedrop.fast_point_basis(f.n, top.complement().monomials())
     return {
         "input": source,
         "n": f.n,
         "degree": r,
         "profile": prof.to_rows(),
         "deg_stab": stab,
-        "dd_hyperplane_space_dim": normals.dim,
+        "dd_hyperplane_space_dim": len(normals),
         "R": rvals,
         "checkers": {
             "no_common_variable": construct.check_no_common_variable(top),
             "low_overlap_k1": construct.check_low_overlap(top, 1),
-            "hyperplane_sufficient": hyper.ok,
-            "fastpoint_sufficient": fastpoint.ok,
+            "hyperplane_sufficient": construct.check_hyperplane_sufficient(top).ok,
+            "fastpoint_sufficient": construct.check_fastpoint_sufficient(top).ok,
         },
-        "complement_fast_points": {
-            "count": comp_fast.count,
-            "dim": comp_fast.dim,
+        "complement_fast_points": {"count": (1 << len(comp_fast)) - 1, "dim": len(comp_fast)},
+        "consistency": {
+            "hyperplane_count_is_rank_power": prof.rows[0].count == (1 << rvals[0]) - 1,
+            "hyperplane_duality": normals == comp_fast,
         },
-        "consistency": consistency,
     }
 
 
@@ -77,28 +78,13 @@ def format_report(report: dict[str, Any]) -> str:
         f"degree:     {report['degree']}",
     ]
     for row in report["profile"]:
-        lines.append(
-            "codim {codim}:    {count} degree-drop linear spaces"
-            " ({new} new)".format(**row)
-        )
+        lines.append("codim {codim}:    {count} degree-drop linear spaces ({new} new)".format(**row))
     lines.append(f"deg_stab:   {report['deg_stab']}")
-    lines.append(
-        f"hyperplane normal space dimension: "
-        f"{report['dd_hyperplane_space_dim']}"
-    )
-    lines.append(
-        "R:          " + ", ".join(str(v) for v in report["R"])
-    )
-    checkers = report["checkers"]
-    lines.append(
-        "checkers:   "
-        + ", ".join(f"{name}={'PASS' if ok else 'no'}"
-                    for name, ok in checkers.items())
-    )
+    lines.append(f"hyperplane normal space dimension: {report['dd_hyperplane_space_dim']}")
+    lines.append("R:          " + ", ".join(str(v) for v in report["R"]))
+    checks = report["checkers"].items()
+    lines.append("checkers:   " + ", ".join(f"{name}={'PASS' if ok else 'no'}" for name, ok in checks))
     comp = report["complement_fast_points"]
-    lines.append(
-        f"complement fast points: {comp['count']} (dimension {comp['dim']})"
-    )
-    verdict = "PASS" if report_is_consistent(report) else "FAIL"
-    lines.append(f"consistency: {verdict}")
+    lines.append(f"complement fast points: {comp['count']} (dimension {comp['dim']})")
+    lines.append(f"consistency: {'PASS' if report_is_consistent(report) else 'FAIL'}")
     return "\n".join(lines)

@@ -262,6 +262,25 @@ def test_out_of_range_arguments_are_usage_errors(capsys):
         assert err.startswith("error: ") and message in err, (argv, err)
 
 
+_CIRCULAR = ["construct", "--method", "circular", "--n", "12", "--r", "4", "--k"]
+_RANDOM = ["construct", "--method", "random", "--n", "12", "--r", "4", "--extend-prob"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_CIRCULAR + ["-1"], "got k=-1"),
+    (_CIRCULAR + ["-2"], "got k=-2"),
+    (_CIRCULAR + ["0"], "got k=0"),
+    (_RANDOM + ["-1"], "extend_prob must lie in [0, 1], got -1.0"),
+    (_RANDOM + ["nan"], "extend_prob must lie in [0, 1], got nan"),
+    (["count", "--r", "-1", "--n", "5"], "got r=-1, n=5"),
+])
+def test_bad_construct_and_count_values_are_usage_errors(capsys, argv, message):
+    # each value is rejected where it is checked, before any arithmetic on it
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_usage_errors_survive_optimized_mode():
     # python -O strips assert statements; validation must not rely on them
     proc = subprocess.run(

@@ -1,8 +1,11 @@
 """Report assembly: field contents, consistency checks, rendering."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 
-from degstab import ANF
+from degstab import ANF, degreedrop
 from degstab.errors import ConstantFunctionError, ZeroFunctionError
 from degstab.report import build_report, format_report, report_is_consistent
 
@@ -68,3 +71,41 @@ def test_format_report_rendering():
     assert any(line.startswith("checkers:") and "hyperplane_sufficient=PASS" in line
                for line in lines)
     assert lines[-1] == "consistency: PASS"
+
+
+def test_report_checks_the_profile_count_against_r1(monkeypatch):
+    # the codim-1 count comes from the lift, R_1 from the monomial masks: a
+    # wrong count must make the report inconsistent
+    real = degreedrop.profile
+
+    def off_by_one(f, k_max=None):
+        prof = real(f, k_max)
+        first = dataclasses.replace(prof.rows[0], count=prof.rows[0].count + 1)
+        return dataclasses.replace(prof, rows=(first, *prof.rows[1:]))
+
+    monkeypatch.setattr(degreedrop, "profile", off_by_one)
+    rep = build_report(ANF.parse("1234", 8), "1234")
+    assert rep["profile"][0]["count"] == 16
+    assert rep["consistency"] == {
+        "hyperplane_count_is_rank_power": False, "hyperplane_duality": True,
+    }
+    assert not report_is_consistent(rep)
+    assert format_report(rep).splitlines()[-1] == "consistency: FAIL"
+
+
+def test_report_reads_bases_not_point_sets():
+    # x1...x18 has 2**18 - 1 normals and as many complement fast points; the
+    # report shows only their dimensions and counts, so it builds no set of
+    # them (about 1.5 MB traced peak, against 69 MB when each space was
+    # expanded into a frozenset of its points)
+    f = ANF.from_monomials(18, [(1 << 18) - 1])
+    tracemalloc.start()
+    try:
+        rep = build_report(f, "x1*...*x18")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["dd_hyperplane_space_dim"] == 18
+    assert rep["complement_fast_points"] == {"count": (1 << 18) - 1, "dim": 18}
+    assert report_is_consistent(rep)
+    assert peak < 8 << 20, peak

@@ -4,20 +4,20 @@ Run from the repository root with the tree to measure first on PYTHONPATH:
 
     PYTHONPATH=src python3 tools/bench_scan.py --repeat 5 --seed 1
 
-It prints one JSON object with three keys:
+It prints one JSON object with four keys:
 
   stages  for each (n, k) in STAGES, over a full degreedrop._drop_chunks(f, k)
           scan of a fixed function f of degree r, one sample per --repeat
           (the first fills the caches and is dropped):
-            scan_s        the whole scan: restriction rows, degrees, chunks
+            scan_s        the whole scan: restriction rows, drop flags, chunks
             substitute_s  time inside degreedrop._substituted, and
             substitute_rows  the rows it returned
             gather_s      time inside degreedrop._gathered (truth-table
             gather_rows   gather and batched Moebius transform), and rows
-            kernel_s      the normal kernel on the scan's rows, outside scan_s
-          A tree without _substituted restricts by the gather alone, inside
-          _drop_chunks; there gather_s times the same gather and transform
-          over the same _POINTS chunks, outside the scan.
+            kernel_s      the normal kernel on each chunk's rows, outside
+                          scan_s; it runs per chunk, as in the lift, so no
+                          chunk outlives the next (keeping every chunk made
+                          each substitution fault in fresh pages)
   exits   for each deg_stab item of perfbench's stream-n9 workload at --seed,
           the codim-(k-1) rows and chunks its existence scans reduce, summed
           over k, read by a tap on degreedrop._drop_chunks
@@ -31,10 +31,16 @@ It prints one JSON object with three keys:
                           calls it
             r_k_n20_k1, r_k_n20_k2  invariants.r_k on one random quartic at
                           n = 20 (each monomial kept with probability 1/2)
+  analyze for N in ANALYZE_VARS, one sample per --repeat: the wall time
+          (wall_s) and peak RSS in MB (peak_rss_mb, the child's ru_maxrss)
+          of a fresh `python -m degstab analyze --n N --anf x1*...*xN
+          --max-codim 1`, with this process's PYTHONPATH; run before the
+          other keys (see main)
 
 The stages call private scan functions that the tree's degreedrop module has
-had since the lifted engine, and the kernels only public functions, so one
-copy of this file measures older trees too.
+had since the substitution route (08695fa), the kernels only public
+functions, and analyze only the CLI, so one copy of this file measures those
+older trees too.
 """
 
 from __future__ import annotations
@@ -43,13 +49,13 @@ import argparse
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 from itertools import combinations
 
 from degstab import degreedrop, invariants
-from degstab.anf import ANF, mobius_inplace
-from degstab.bits import xor_points
+from degstab.anf import ANF
 from degstab.subspaces import materialized_codim
 
 # (n, k, function): the stream-n9 count, catalog-n8's profile steps, a
@@ -65,6 +71,8 @@ STAGES = (
     (7, 3, "123+456+147"),
 )
 ROUTES = {"_substituted": "substitute", "_gathered": "gather"}
+# variables of the single monomial that the analyze key reports on
+ANALYZE_VARS = (16, 20, 22)
 
 
 def _timed(fn, key: str, into: dict):
@@ -83,34 +91,19 @@ def stage_times(n: int, k: int, text: str) -> dict[str, float]:
     r = int(f.degree())
     out = dict.fromkeys(("scan_s", "substitute_s", "gather_s", "kernel_s"), 0.0)
     out.update(substitute_rows=0, gather_rows=0)
-    routed = all(hasattr(degreedrop, name) for name in ROUTES)
-    saved = {}
-    if routed:
-        for name, key in ROUTES.items():
-            saved[name] = getattr(degreedrop, name)
-            setattr(degreedrop, name, _timed(saved[name], key, out))
-    chunks = []
+    saved = {name: getattr(degreedrop, name) for name in ROUTES}
+    for name, key in ROUTES.items():
+        setattr(degreedrop, name, _timed(saved[name], key, out))
     try:
         t0 = time.perf_counter()
         for _, _, rows in degreedrop._drop_chunks(f, k):
-            chunks.append(rows)
-        out["scan_s"] = time.perf_counter() - t0
+            t1 = time.perf_counter()
+            degreedrop._normal_kernel_dims(rows, r)
+            out["kernel_s"] += time.perf_counter() - t1
+        out["scan_s"] = time.perf_counter() - t0 - out["kernel_s"]
     finally:
         for name, fn in saved.items():
             setattr(degreedrop, name, fn)
-    t0 = time.perf_counter()
-    for rows in chunks:
-        degreedrop._normal_kernel_dims(rows, r)
-    out["kernel_s"] = time.perf_counter() - t0
-    if not routed:
-        tt = f.truth_table()
-        _, bases = materialized_codim(n, k)
-        step = max(1, degreedrop._POINTS >> (n - k))
-        t0 = time.perf_counter()
-        for s in range(0, len(bases), step):
-            mobius_inplace(tt[xor_points(bases[s : s + step])])
-        out["gather_s"] = time.perf_counter() - t0
-        out["gather_rows"] = len(bases)
     return out
 
 
@@ -190,11 +183,34 @@ def kernel_times(seed: int, repeat: int) -> dict[str, list[float]]:
     return out
 
 
+def analyze_runs(repeat: int) -> dict[str, dict[str, list[float]]]:
+    out = {}
+    for n in ANALYZE_VARS:
+        anf = "*".join(f"x{i}" for i in range(1, n + 1))
+        argv = [sys.executable, "-m", "degstab", "analyze", "--n", str(n), "--anf", anf, "--max-codim", "1"]
+        wall, rss = [], []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall.append(round(time.perf_counter() - t0, 4))
+            rss.append(round(usage.ru_maxrss / 1024, 1))
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode:
+                raise SystemExit(f"analyze --n {n} exited {proc.returncode}")
+        out[str(n)] = {"wall_s": wall, "peak_rss_mb": rss}
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    # a child's ru_maxrss counts the RSS of the process it was forked from,
+    # so the CLI runs start before the other keys grow this one past the
+    # CLI's own import-time RSS
+    analyze = analyze_runs(args.repeat)
     stages = {}
     for n, k, text in STAGES:
         samples = [stage_times(n, k, text) for _ in range(args.repeat + 1)][1:]
@@ -207,6 +223,7 @@ def main() -> int:
         "stages": stages,
         "exits": exit_scans(args.seed),
         "kernels": kernel_times(args.seed, args.repeat),
+        "analyze": analyze,
     }))
     return 0
 
