@@ -14,10 +14,6 @@ from .errors import InvalidLengthError, VariableIndexError
 MAX_TABLE_VARS = 24
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def parity(x: int) -> int:
     return x.bit_count() & 1
 

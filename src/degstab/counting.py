@@ -13,6 +13,7 @@ from math import comb
 from typing import Optional
 
 from .errors import InvariantViolationError
+from .special import high_degree_facts
 
 
 @lru_cache(maxsize=None)
@@ -116,11 +117,15 @@ def degstab_bounds(r: int, n: int) -> tuple[int, int]:
     """Best published closed-form bounds on the maximum degree stability over
     nonzero functions of degree r on F_2^n (both ends inclusive).
 
-    r = 1, n-1, n and r = 2 pin the value exactly.
+    r = 1, r = 2 and r >= n - 2 pin the value exactly; the last is read
+    from special.high_degree_facts.
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if r == 1 or r >= n - 1:
+    if r >= n - 2:
+        v = high_degree_facts(r, n).deg_stab
+        return (v, v)
+    if r == 1:
         return (0, 0)
     lower = (n - r) // r  # direct sum of floor(n/r) monomials
     upper = n - r - 1

@@ -646,23 +646,30 @@ def _top(f: ANF) -> tuple[int, ...]:
     return f.top_part().monomials()
 
 
-def _members(basis: tuple[int, ...]) -> frozenset[int]:
-    """The nonzero vectors of the span."""
-    return frozenset(xor_points(basis)[1:].tolist())
-
-
 @dataclass(frozen=True)
-class HyperplaneNormalSpace:
-    """Normals of degree-drop hyperplanes; provably a linear space minus 0."""
+class Span:
+    """The nonzero vectors of a linear subspace of F_2^n (degree-drop normals
+    or fast points), named by its canonical RREF basis, so two spans are
+    equal iff their bases are. `dim` and `count` are read off the basis;
+    `points`, also named `normals`, builds the frozenset of all 2**dim - 1
+    vectors on each read, and nothing else builds it."""
 
     n: int
-    normals: frozenset[int]
     basis: tuple[int, ...]
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
     @property
     def count(self) -> int:
-        return len(self.normals)
+        return (1 << self.dim) - 1
+
+    @property
+    def points(self) -> frozenset[int]:
+        return frozenset(xor_points(self.basis)[1:].tolist())
+
+    normals = points
 
 
 def dd_hyperplane_normals(f: ANF) -> frozenset[int]:
@@ -670,33 +677,17 @@ def dd_hyperplane_normals(f: ANF) -> frozenset[int]:
     return dd_hyperplane_normal_space(f).normals
 
 
-def dd_hyperplane_normal_space(f: ANF, threads: int = 1) -> HyperplaneNormalSpace:
-    """The normals with the RREF basis of their span. `threads` has no
+def dd_hyperplane_normal_space(f: ANF, threads: int = 1) -> Span:
+    """The span of the degree-drop hyperplane normals. `threads` has no
     effect; it stays while perfbench passes it (ROADMAP item 3)."""
-    basis = hyperplane_normal_basis(f.n, _top(f))
-    return HyperplaneNormalSpace(f.n, _members(basis), basis, len(basis))
+    return Span(f.n, hyperplane_normal_basis(f.n, _top(f)))
 
 
-@dataclass(frozen=True)
-class FastPointSpace:
-    """Directions a with deg(D_a f) < deg(f) - 1; a linear space minus 0."""
-
-    n: int
-    points: frozenset[int]
-    basis: tuple[int, ...]
-    dim: int
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
-
-def fast_points(f: ANF) -> FastPointSpace:
-    """The fast points with the RREF basis of their span."""
+def fast_points(f: ANF) -> Span:
+    """The span of the fast points."""
     if not f:
         raise ZeroFunctionError("fast points are undefined for the zero function")
-    basis = fast_point_basis(f.n, _top(f))
-    return FastPointSpace(f.n, _members(basis), basis, len(basis))
+    return Span(f.n, fast_point_basis(f.n, _top(f)))
 
 
 def is_fast_space(f: ANF, directions: Sequence[int]) -> bool:
@@ -720,32 +711,40 @@ class DualityReport:
     n: int
     degree: int
     k_checked: int
-    hyperplane_normals: frozenset[int]
-    complement_fast_points: frozenset[int]
+    normal_space: Span
+    fast_space: Span
     mismatches: tuple = ()
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
 
+    @property
+    def hyperplane_normals(self) -> frozenset[int]:
+        return self.normal_space.points
+
+    @property
+    def complement_fast_points(self) -> frozenset[int]:
+        return self.fast_space.points
+
 
 def check_dd_fast_duality(f: ANF, k_max: int = 1, threads: int = 1) -> DualityReport:
     """Verify: codim-k space with annihilator S is degree-drop for f iff S
     spans a fast space of the complement of f. Requires homogeneous f.
 
-    Hyperplanes (always checked) compare the normals kernel of f with the
-    fast-point kernel of the complement; k >= 2 scans every codim-k space,
-    so 1 <= k_max <= n. `threads` has no effect; it stays while perfbench
-    passes it (ROADMAP item 3)."""
+    Hyperplanes (always checked) compare the span of f's normals with that
+    of the complement's fast points by their RREF bases, and list points
+    only when they differ. k >= 2 scans every codim-k space, so 1 <= k_max
+    <= n. `threads` has no effect; it stays while perfbench passes it."""
     if not f or not f.is_homogeneous():
         raise NotHomogeneousError("duality check requires a nonzero homogeneous function")
     if not 1 <= k_max <= f.n:
         raise EnumerationRangeError(f"k_max must lie in 1..n={f.n}, got {k_max}")
     r = int(f.degree())
     comp = f.complement()
-    normals = _members(hyperplane_normal_basis(f.n, f.monomials()))
-    cfast = _members(fast_point_basis(f.n, comp.monomials()))
-    mismatches = [(1, (a,)) for a in sorted(normals ^ cfast)]
+    normals = Span(f.n, hyperplane_normal_basis(f.n, f.monomials()))
+    cfast = Span(f.n, fast_point_basis(f.n, comp.monomials()))
+    mismatches = [] if normals == cfast else [(1, (a,)) for a in sorted(normals.points ^ cfast.points)]
     for k in range(2, k_max + 1):
         for forms, dd, _ in _drop_chunks(f, k):
             fast = _is_fast(comp.truth_table(), forms.astype(np.uint32), f.n - r)

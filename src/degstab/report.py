@@ -10,10 +10,10 @@ together; a report is only considered verified when both hold.
   lift's batched elimination on f's ANF row, is 2**R_1 - 1, with R_1 the
   rank defect of the map built from the monomial masks.
 * hyperplane_duality: the degree-drop normals of f_r and the fast points of
-  its complement, kernels of different conditions, have one RREF basis
-  (equal spans have equal RREF bases).
+  its complement, kernels of different conditions, span one space, as
+  degreedrop.check_dd_fast_duality decides from their RREF bases.
 
-Both spaces are read once, as RREF bases, so no set of up to 2**n - 1
+Both spaces come from that one call as bases, so no set of up to 2**n - 1
 points is built: a dimension and 2**dim - 1 are all the report shows.
 """
 
@@ -41,16 +41,15 @@ def build_report(f: ANF, source: str, max_codim: int | None = None) -> dict[str,
 
     prof = degreedrop.profile(f, k_max=max_codim)
     stab = degreedrop.deg_stab(f)
-    normals = degreedrop.hyperplane_normal_basis(f.n, top.monomials())
+    duality = degreedrop.check_dd_fast_duality(top)
     rvals = invariants.r_values(top, max_codim)
-    comp_fast = degreedrop.fast_point_basis(f.n, top.complement().monomials())
     return {
         "input": source,
         "n": f.n,
         "degree": r,
         "profile": prof.to_rows(),
         "deg_stab": stab,
-        "dd_hyperplane_space_dim": len(normals),
+        "dd_hyperplane_space_dim": duality.normal_space.dim,
         "R": rvals,
         "checkers": {
             "no_common_variable": construct.check_no_common_variable(top),
@@ -58,10 +57,10 @@ def build_report(f: ANF, source: str, max_codim: int | None = None) -> dict[str,
             "hyperplane_sufficient": construct.check_hyperplane_sufficient(top).ok,
             "fastpoint_sufficient": construct.check_fastpoint_sufficient(top).ok,
         },
-        "complement_fast_points": {"count": (1 << len(comp_fast)) - 1, "dim": len(comp_fast)},
+        "complement_fast_points": {"count": duality.fast_space.count, "dim": duality.fast_space.dim},
         "consistency": {
             "hyperplane_count_is_rank_power": prof.rows[0].count == (1 << rvals[0]) - 1,
-            "hyperplane_duality": normals == comp_fast,
+            "hyperplane_duality": duality.ok,
         },
     }
 

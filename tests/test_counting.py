@@ -13,7 +13,9 @@ from degstab import (
     gaussian_binomial,
     k1_count,
 )
+from degstab.catalog import DEGSTAB_TABLE
 from degstab.counting import format_probability
+from degstab.special import high_degree_facts
 
 
 def test_gaussian_binomial_small_values():
@@ -108,6 +110,21 @@ def test_degstab_bounds():
         for n in range(r, 9):
             lo, hi = degstab_bounds(r, n)
             assert 0 <= lo <= hi <= n - r
+
+
+def test_degstab_bounds_pin_the_high_degrees():
+    for n in range(3, 13):
+        for r in (n - 2, n - 1, n):
+            v = high_degree_facts(r, n).deg_stab
+            assert degstab_bounds(r, n) == (v, v), (r, n)
+
+
+def test_degstab_table_lies_within_the_bounds():
+    for n, row in DEGSTAB_TABLE.items():
+        for r, value in enumerate(row, start=1):
+            lo, hi = degstab_bounds(r, n)
+            assert lo <= value <= hi, (r, n)
+            assert lo < hi or value == lo, (r, n)
 
 
 def test_k1_count_degenerate_ranges():

@@ -1,6 +1,7 @@
 """Degree-drop scans: enumeration, profiles, stability, duality."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from degstab.errors import (
     ZeroDirectionError,
     ZeroFunctionError,
 )
+from degstab.report import build_report
 from degstab.subspaces import LinearSubspace, count_codim, materialized_codim, parse_subspace
 from degstab.f2 import random_invertible, rref_rows
 from helpers import random_degree, random_homogeneous, random_nonconstant, sparse_homogeneous
@@ -581,6 +583,45 @@ def test_duality_on_random_homogeneous():
         assert rep.ok
         # the two sides are literally the same set of masks
         assert rep.hyperplane_normals == rep.complement_fast_points
+
+
+def test_duality_lists_the_points_of_unequal_spans(monkeypatch):
+    # equal spans have equal RREF bases, so the points are compared only
+    # when the bases differ: drop the complement's last fast-point basis
+    # vector and the mismatches are the points of f's normals that use it
+    real = degreedrop.fast_point_basis
+    monkeypatch.setattr(degreedrop, "fast_point_basis", lambda n, top: real(n, top)[:-1])
+    for text, n in (("123", 5), ("1234", 6), ("123+145", 6)):
+        f = ANF.parse(text, n)
+        cfast = fast_points(f.complement()).points
+        expected = [(1, (a,)) for a in sorted(dd_hyperplane_normals(f) ^ cfast)]
+        rep = check_dd_fast_duality(f, k_max=1)
+        assert expected and list(rep.mismatches) == expected, text
+        assert not rep.ok
+        assert rep.complement_fast_points == cfast
+        assert not build_report(f, text)["consistency"]["hyperplane_duality"]
+
+
+def test_spans_build_no_point_set_until_read():
+    # 2**19 - 1 fast points of x1 and 2**20 - 1 normals of x1...x20: a span
+    # holds only its basis (at most 6 MB traced peak, the first call filling
+    # the popcount table), against 42-153 MB when the points were stored
+    x1 = ANF.from_monomials(20, [1])
+    full = ANF.from_monomials(20, [(1 << 20) - 1])
+    calls = (
+        (lambda: fast_points(x1).count, (1 << 19) - 1),
+        (lambda: dd_hyperplane_normal_space(full).count, (1 << 20) - 1),
+        (lambda: check_dd_fast_duality(full).ok, True),
+    )
+    for call, expected in calls:
+        tracemalloc.start()
+        try:
+            value = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == expected
+        assert peak < 8 << 20, peak
 
 
 def test_duality_codim_two():

@@ -4,7 +4,7 @@ Run from the repository root with the tree to measure first on PYTHONPATH:
 
     PYTHONPATH=src python3 tools/bench_scan.py --repeat 5 --seed 1
 
-It prints one JSON object with four keys:
+It prints one JSON object with five keys:
 
   stages  for each (n, k) in STAGES, over a full degreedrop._drop_chunks(f, k)
           scan of a fixed function f of degree r, one sample per --repeat
@@ -36,11 +36,16 @@ It prints one JSON object with four keys:
           of a fresh `python -m degstab analyze --n N --anf x1*...*xN
           --max-codim 1`, with this process's PYTHONPATH; run before the
           other keys (see main)
+  spaces  for N in SPACE_VARS and each call in SPACE_CALLS, one sample per
+          --repeat: wall_s and peak_rss_mb as for analyze, of a fresh
+          interpreter that imports degstab, builds x1 and x1*...*xN, and
+          makes the one call, call_s, the call's own time inside it, and
+          the distinct values it returned; run before the other keys too
 
 The stages call private scan functions that the tree's degreedrop module has
-had since the substitution route (08695fa), the kernels only public
-functions, and analyze only the CLI, so one copy of this file measures those
-older trees too.
+had since the substitution route (08695fa), the kernels and spaces only
+public functions, and analyze only the CLI, so one copy of this file
+measures those older trees too.
 """
 
 from __future__ import annotations
@@ -73,6 +78,23 @@ STAGES = (
 ROUTES = {"_substituted": "substitute", "_gathered": "gather"}
 # variables of the single monomial that the analyze key reports on
 ANALYZE_VARS = (16, 20, 22)
+# the spaces key: variables, and the calls on x1 and on full = x1*...*xN,
+# each of which has 2**(N-1) - 1 or 2**N - 1 points in its span
+SPACE_VARS = (20, 22)
+SPACE_CALLS = {
+    "fast_points_x1": "degreedrop.fast_points(x1).count",
+    "normal_space_full": "degreedrop.dd_hyperplane_normal_space(full).count",
+    "duality_full": "degreedrop.check_dd_fast_duality(full).ok",
+}
+SPACE_CHILD = """
+import sys, time
+from degstab import ANF, degreedrop
+n = int(sys.argv[1])
+x1, full = ANF.from_monomials(n, [1]), ANF.from_monomials(n, [(1 << n) - 1])
+t0 = time.perf_counter()
+value = {call}
+print(time.perf_counter() - t0, value)
+"""
 
 
 def _timed(fn, key: str, into: dict):
@@ -183,22 +205,43 @@ def kernel_times(seed: int, repeat: int) -> dict[str, list[float]]:
     return out
 
 
+def _child(argv: list[str]) -> tuple[float, float, bytes]:
+    """Wall seconds, peak RSS in MB (the child's ru_maxrss) and stdout of
+    one run of argv; exits if the child fails."""
+    t0 = time.perf_counter()
+    with subprocess.Popen(argv, stdout=subprocess.PIPE) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    wall = round(time.perf_counter() - t0, 4)
+    if proc.returncode:
+        raise SystemExit(f"{argv[1:]} exited {proc.returncode}")
+    return wall, round(usage.ru_maxrss / 1024, 1), out
+
+
 def analyze_runs(repeat: int) -> dict[str, dict[str, list[float]]]:
     out = {}
     for n in ANALYZE_VARS:
         anf = "*".join(f"x{i}" for i in range(1, n + 1))
         argv = [sys.executable, "-m", "degstab", "analyze", "--n", str(n), "--anf", anf, "--max-codim", "1"]
-        wall, rss = [], []
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
-            _, status, usage = os.wait4(proc.pid, 0)
-            wall.append(round(time.perf_counter() - t0, 4))
-            rss.append(round(usage.ru_maxrss / 1024, 1))
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            if proc.returncode:
-                raise SystemExit(f"analyze --n {n} exited {proc.returncode}")
-        out[str(n)] = {"wall_s": wall, "peak_rss_mb": rss}
+        runs = [_child(argv)[:2] for _ in range(repeat)]
+        out[str(n)] = {"wall_s": [w for w, _ in runs], "peak_rss_mb": [m for _, m in runs]}
+    return out
+
+
+def space_runs(repeat: int) -> dict[str, dict[str, dict[str, list[float]]]]:
+    out = {}
+    for n in SPACE_VARS:
+        for name, call in SPACE_CALLS.items():
+            argv = [sys.executable, "-c", SPACE_CHILD.format(call=call), str(n)]
+            runs = [_child(argv) for _ in range(repeat)]
+            printed = [text.split() for _, _, text in runs]
+            out.setdefault(str(n), {})[name] = {
+                "value": sorted({value.decode() for _, value in printed}),
+                "wall_s": [w for w, _, _ in runs],
+                "call_s": [round(float(secs), 4) for secs, _ in printed],
+                "peak_rss_mb": [m for _, m, _ in runs],
+            }
     return out
 
 
@@ -211,6 +254,7 @@ def main() -> int:
     # so the CLI runs start before the other keys grow this one past the
     # CLI's own import-time RSS
     analyze = analyze_runs(args.repeat)
+    spaces = space_runs(args.repeat)
     stages = {}
     for n, k, text in STAGES:
         samples = [stage_times(n, k, text) for _ in range(args.repeat + 1)][1:]
@@ -224,6 +268,7 @@ def main() -> int:
         "exits": exit_scans(args.seed),
         "kernels": kernel_times(args.seed, args.repeat),
         "analyze": analyze,
+        "spaces": spaces,
     }))
     return 0
 
