@@ -393,29 +393,24 @@ def _max_stability(ids, n: int, complement: bool, k_max: int) -> int:
 def reproduce_degstab_table() -> list[DegStabCell]:
     """Recompute every entry of DEGSTAB_TABLE from scratch.
 
-    Entries with degree 1, 2, or at least n-2 follow from closed forms.  The
+    Entries with degree 1, 2, or at least n-2 follow from closed forms, read
+    from counting.degstab_bounds: they are the cells it pins.  The
     middle entries are maxima of per-class stability orders over the scanned
     classification: degree 3 directly, degrees 4 and 5 via complements.  The
     (degree 4, 8 variables) entry combines an explicit witness with the
     bound deg_stab(r, n+1) <= deg_stab(r, n) + 1, and the (degree 3, 6
     variables) entry uses the fast-point embedding argument."""
-    from . import special
-
     all_ids = [rep.id for rep in load_catalog()]
     small_ids = [rep.id for rep in load_catalog() if rep.n_native <= 7]
     cells = []
     bad = []
     for n, row in sorted(DEGSTAB_TABLE.items()):
         for r, expected in enumerate(row, start=1):
-            if r == 1:
-                # Adding a constant makes any degree-1 function vanish on an
-                # affine hyperplane.
-                value, method = 0, "closed form (degree 1)"
-            elif r >= n - 2:
-                facts = special.high_degree_facts(r, n)
-                value, method = facts.deg_stab, "closed form (high degree)"
-            elif r == 2:
-                value, method = n // 2 - 1, "closed form (quadratics)"
+            lower, upper = counting.degstab_bounds(r, n)
+            if lower == upper:
+                value = lower
+                kind = "degree 1" if r == 1 else "high degree" if r >= n - 2 else "quadratics"
+                method = f"closed form ({kind})"
             elif (r, n) == (3, 7):
                 value = _max_stability(small_ids, 7, False, 3)
                 method = "scan of the 11 cubic classes in 7 variables"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -113,9 +114,19 @@ def _cmd_enumerate_dd(args: argparse.Namespace) -> int:
 
 # -- count -----------------------------------------------------------------
 
+# The most degree-r monomials, C(n, r), that `count` accepts: every count it
+# prints is below 2**C(n, r), which has at most 4,300 digits, CPython's
+# default limit for printing an int, when C(n, r) <= 14,284.
+MAX_COUNT_MONOMIALS = 14_284
+
 
 def _cmd_count(args: argparse.Namespace) -> int:
     r, n = args.r, args.n
+    if 0 <= r <= n and math.comb(n, r) > MAX_COUNT_MONOMIALS:
+        raise DegstabError(
+            f"count needs C(n, r) <= {MAX_COUNT_MONOMIALS}, the monomials whose"
+            f" counts print in full; got C({n}, {r}) = {math.comb(n, r)}"
+        )
     hist = counting.dd_hyperplane_histogram(r, n)
     if args.json:
         prob = counting.dd_probability(r, n)

@@ -255,14 +255,13 @@ def _routes(n: int, k: int, least: float) -> tuple[tuple[int, int, bool], ...]:
     substitute): one entry with substitute True per pivot block of at least
     `least` points, and one with False per run of smaller blocks."""
     out: list[tuple[int, int, bool]] = []
-    start = 0
-    for rows in _block_rows(n, k):
+    blocks = _block_rows(n, k)
+    for start, rows in zip(blocks.starts.tolist(), blocks.rows):
         big = rows << (n - k) >= least
         if out and not big and not out[-1][2]:
             out[-1] = (out[-1][0], start + rows, False)
         else:
             out.append((start, start + rows, big))
-        start += rows
     return tuple(out)
 
 

@@ -17,9 +17,9 @@ solution bases are built at once by scattering the bits of arange(2**slots)
 into the slots, and blocks longer than the chunk size are split.
 
 This order is rank order: codim_rank gives each subspace its position, the
-offset of its pivot combination (the sizes of the blocks before it) plus
-its free-bit integer. The profile's `new` step names subspaces by rank to
-deduplicate them.
+start of its pivot block, read by pivot mask from the one block table that
+the scan engine's route segmentation reads too (_block_rows), plus its
+free-bit integer. The profile's `new` step names subspaces by rank.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,14 +261,27 @@ def _pivot_blocks(n: int, k: int, size: int) -> Iterator[tuple[np.ndarray, np.nd
             yield forms.T, bases.T.astype(np.uint32)
 
 
+class _Blocks(NamedTuple):
+    """The pivot blocks in canonical order: pivot masks, the order that sorts
+    them, rows (2**slots) and start ranks, int64 where [n k]_2 fits it."""
+
+    masks: np.ndarray
+    by_mask: np.ndarray
+    rows: tuple[int, ...]
+    starts: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _block_rows(n: int, k: int) -> tuple[int, ...]:
-    """Rows of each pivot block, in canonical order: 2**slots, row i with
-    pivot q having n - k + i - q free slots."""
-    return tuple(
-        1 << sum(n - k + i - q for i, q in enumerate(pivots))
-        for pivots in itertools.combinations(range(n), k)
-    )
+def _block_rows(n: int, k: int) -> _Blocks:
+    """The pivot block table of co-dimension k. Row i with pivot q has
+    n - k + i - q free slots, so a block has top - sum(pivots) of them."""
+    top = k * (n - k) + k * (k - 1) // 2
+    combos = itertools.combinations(range(n), k)
+    masks, rows = zip(*((sum(1 << p for p in c), 1 << (top - sum(c))) for c in combos))
+    masks = np.array(masks, dtype=np.int64)
+    starts = list(itertools.accumulate(rows, initial=0))[:-1]
+    dtype = np.int64 if count_codim(n, k) <= _INT64_MAX else object
+    return _Blocks(masks, np.argsort(masks), rows, np.array(starts, dtype=dtype))
 
 
 def _chunks(n: int, k: int, chunk_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -351,40 +364,14 @@ def materialized_codim(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return forms, bases
 
 
-@lru_cache(maxsize=None)
-def _pivot_offsets(n: int, k: int) -> np.ndarray:
-    """(k, n + 1) int64 table for codim_rank: entry [i, x] sums, over the
-    pivots q < x of row i, the ways to fill rows i..k-1, free bits included,
-    with row i's pivot at q.
-
-    Row i with pivot q has n - k + i - q free slots. The forms whose pivot
-    combination comes before a form's with pivots p, and first differs from
-    it at row i, number table[i, p_i] - table[i, p_(i-1) + 1] times 2 to the
-    free slots of rows 0..i-1.
-    """
-    table = np.zeros((k, n + 1), dtype=np.int64)
-    after = [1] * (n + 1)  # after[q + 1]: ways to fill the later rows above pivot q
-    for i in range(k - 1, -1, -1):
-        # row i's pivot q lies in i .. n - k + i: rows 0..i-1 need i columns
-        # below it and rows i+1..k-1 need k - 1 - i above it
-        weights = [
-            (1 << (n - k + i - q)) * after[q + 1] if i <= q <= n - k + i else 0
-            for q in range(n)
-        ]
-        prefix = list(itertools.accumulate(weights, initial=0))
-        table[i] = prefix
-        after = [prefix[n] - prefix[t] for t in range(n + 1)]
-    return table
-
-
 def codim_rank(n: int, forms) -> np.ndarray:
     """Position of each codim-k subspace in the canonical order, vectorized.
 
     `forms` has shape (..., k): the RREF annihilator rows of each subspace,
-    in any row order. The rank is the offset of the forms' pivot combination
-    (the number of subspaces in the pivot blocks before it, which come
-    lexicographically first) plus their free-bit integer, so
-    codim_rank(n, chunk forms) over a whole enumeration is 0, 1, 2, ...
+    in any row order. The rank is the start of the block with the forms'
+    pivot mask, looked up in the _block_rows table, plus their free-bit
+    integer, so codim_rank(n, chunk forms) over a whole enumeration is
+    0, 1, 2, ...
     Returns an int64 array of shape (...). Ranks run below [n k]_2; a
     co-dimension whose [n k]_2 does not fit int64 raises.
     """
@@ -409,13 +396,12 @@ def codim_rank(n: int, forms) -> np.ndarray:
     pivot_mask = np.bitwise_or.reduce(low, axis=1)
     if ((flat & pivot_mask[:, None]) != low).any() or (np.bitwise_count(pivot_mask) != k).any():
         raise EnumerationRangeError("forms are not the RREF annihilator of a codim-k subspace")
-    table = _pivot_offsets(n, k)
-    rank = np.zeros(len(flat), dtype=np.int64)
+    blocks = _block_rows(n, k)
+    at = np.searchsorted(blocks.masks, pivot_mask, sorter=blocks.by_mask)
+    rank = blocks.starts[blocks.by_mask[at]]
     shift = np.zeros(len(flat), dtype=np.int64)
-    lower = np.zeros(len(flat), dtype=np.int64)  # previous pivot + 1
     for i in range(k):
         p = piv[:, i]
-        rank += (table[i, p] - table[i, lower]) << shift
         # free bits of row i: the bits above its pivot, less the (zero)
         # columns of the later pivots, removed from the top down
         v = flat[:, i] >> (p + 1)
@@ -424,7 +410,6 @@ def codim_rank(n: int, forms) -> np.ndarray:
             v = (v & below) | ((v >> 1) & ~below)
         rank += v << shift
         shift += n - k + i - p
-        lower = p + 1
     return rank.reshape(forms.shape[:-1])
 
 

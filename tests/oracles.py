@@ -227,6 +227,11 @@ def all_codim_spaces(n: int, k: int) -> list[frozenset[int]]:
 # -- canonical enumeration order -----------------------------------------------
 
 
+def _slots(n: int, pivots: Sequence[int]) -> list[tuple[int, int]]:
+    """The (row, column) slots that may hold free bits, row-major."""
+    return [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+
+
 def _iter_rref_forms(n: int, k: int):
     """All canonical k x n RREF annihilator matrices, in the package's order:
 
@@ -234,8 +239,7 @@ def _iter_rref_forms(n: int, k: int):
     increasing binary order (bits filled row-major, columns ascending).
     """
     for pivots in combinations(range(n), k):
-        # (row, column) slots that may hold free bits, row-major
-        slots = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        slots = _slots(n, pivots)
         for g in range(1 << len(slots)):
             rows = [1 << p for p in pivots]
             for j, (i, c) in enumerate(slots):
@@ -258,6 +262,22 @@ def _kernel_from_rref(n: int, rows: Sequence[int]) -> list[int]:
                 v |= 1 << p
         basis.append(v)
     return basis
+
+
+def codim_rank(n: int, forms: Sequence[int]) -> int:
+    """Position of the space with RREF annihilator rows `forms` (any row
+    order) in the order of _iter_rref_forms: the 2**slots of every earlier
+    pivot combination, plus its free bits read slot by slot."""
+    rows = sorted(forms, key=lambda a: a & -a)
+    pivots = tuple((a & -a).bit_length() - 1 for a in rows)
+    rank = 0
+    for earlier in combinations(range(n), len(rows)):
+        if earlier == pivots:
+            break
+        rank += 1 << len(_slots(n, earlier))
+    for j, (i, c) in enumerate(_slots(n, pivots)):
+        rank += (rows[i] >> c & 1) << j
+    return rank
 
 
 def codim_forms_and_bases(n: int, k: int) -> list[tuple[tuple[int, ...], list[int]]]:

@@ -35,8 +35,9 @@ from degstab.construct import (
     check_low_overlap,
     check_hyperplane_sufficient,
 )
-from degstab.counting import k1_count
+from degstab.counting import dd_hyperplane_histogram, k1_count
 from degstab.degreedrop import (
+    dd_hyperplane_normal_space,
     deg_stab,
     enumerate_degree_drop,
     fast_points,
@@ -58,6 +59,19 @@ def test_load_catalog_shape():
         f = rep.anf()
         assert f.n == 8 and f.degree() == 3 and f.is_homogeneous()
         assert rep.complement_anf().degree() == 5
+
+
+def test_class_sizes_weight_the_hyperplane_histogram_at_n7():
+    # the 11 classes cover every nonzero cubic top part at n = 7, so their
+    # sizes, weighted by the dimension of each class's normal span, give
+    # the counting formula's histogram over all 2**35 - 1 of them
+    classes = [rep for rep in load_catalog() if rep.n_native <= 7]
+    assert sum(rep.class_size for rep in classes) == 2**35 - 1
+    hist = [0] * 4
+    for rep in classes:
+        hist[dd_hyperplane_normal_space(rep.anf(7)).dim] += rep.class_size
+    assert hist == [34_355_647_824, 4_078_732, 0, 11_811]
+    assert hist == dd_hyperplane_histogram(3, 7)
 
 
 def test_representative_lookup():

@@ -6,6 +6,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 import degstab
 from degstab import catalog
 from degstab.catalog import load_catalog
-from degstab.cli import main
+from degstab.cli import MAX_COUNT_MONOMIALS, main
 
 
 def run(capsys, argv):
@@ -88,6 +90,36 @@ def test_count_json(capsys):
     assert data["histogram"][0] == 34355647824
     assert sum(data["histogram"]) == 2 ** 35 - 1
     float(data["drop_probability"])  # printable decimal
+
+
+@pytest.mark.parametrize("n, r, monomials", [(200, 100, comb(200, 100)), (60, 3, 34220)])
+def test_count_beyond_the_printable_limit_is_a_usage_error(capsys, n, r, monomials):
+    # both once failed mid-computation: an OverflowError traceback from
+    # 1 << C(200, 100), and CPython's 4,300-digit message for 2**C(60, 3)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["count", "--n", str(n), "--r", str(r)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: count needs C(n, r) <= {MAX_COUNT_MONOMIALS}, the monomials"
+        f" whose counts print in full; got C({n}, {r}) = {monomials}\n"
+    )
+    assert peak < 1 << 20
+
+
+def test_count_limit_keeps_every_accepted_count_printable(capsys):
+    # every count is below 2**C(n, r); the largest below the limit prints
+    assert len(str((1 << MAX_COUNT_MONOMIALS) - 1)) == 4300
+    with pytest.raises(ValueError, match="4300 digits"):
+        str((1 << (MAX_COUNT_MONOMIALS + 1)) - 1)
+    # C(45, 3) = 14,190 is under the limit and C(46, 3) = 15,180 above it
+    code, out, _ = run(capsys, ["count", "--n", "45", "--r", "3"])
+    assert code == 0 and 4000 < len(out) <= 4301
+    code, _, err = run(capsys, ["count", "--n", "46", "--r", "3"])
+    assert code == 2 and "C(46, 3) = 15180" in err
 
 
 def test_analyze_human(capsys):

@@ -330,6 +330,15 @@ def test_existence_reaches_a_drop_in_the_last_rows(monkeypatch):
     assert [str(v) for v in enumerate_degree_drop(f, 2)] == ["x7=0; x8=0"]
 
 
+def test_existence_scans_past_the_int64_rank_limit():
+    # [20 4]_2 exceeds 2**63, so the block table's starts there are Python
+    # ints; x1 = x2 = x3 = x4 = 0, the first codim-4 space, already drops
+    f = ANF.from_monomials(20, [0b11])
+    assert count_codim(20, 4) > 2**63
+    assert has_degree_drop_space(f, 5)
+    assert str(next(enumerate_degree_drop(f, 4))) == "x1=0; x2=0; x3=0; x4=0"
+
+
 def _scan(f, k, ramp=False):
     """forms, drop flags and ANF rows of _drop_chunks, chunks concatenated."""
     chunks = list(degreedrop._drop_chunks(f, k, ramp))

@@ -164,10 +164,10 @@ def test_elimination_matches_gauss_jordan(case):
 
 
 @st.composite
-def rankable_spaces(draw, batch=1):
+def rankable_spaces(draw, batch=1, max_n=24):
     """(n, list of RREF annihilators, seed): `batch` codim-k spaces of
-    F_2^n, n <= 24, at a k whose [n k]_2 fits int64 ranks."""
-    n = draw(st.integers(1, 24))
+    F_2^n, n <= max_n, at a k whose [n k]_2 fits int64 ranks."""
+    n = draw(st.integers(1, max_n))
     k = draw(st.sampled_from([k for k in range(n + 1) if count_codim(n, k) < 2**63]))
     spaces = []
     for _ in range(batch):
@@ -195,6 +195,14 @@ def test_codim_rank_ignores_row_order_and_basis(case):
                 if m >> j & 1:
                     other[i] ^= forms[j]
         assert codim_rank(n, rref_rows(other, n)[0]) == rank
+
+
+@PROPERTY
+@given(rankable_spaces(max_n=32))
+def test_codim_rank_matches_the_oracle(case):
+    n, [forms], seed = case
+    rows = random.Random(seed).sample(forms, len(forms))
+    assert codim_rank(n, rows) == oracles.codim_rank(n, rows)
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Subspace representation, enumeration, and restriction."""
 
 import random
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -218,6 +219,18 @@ def test_codim_rank_rejects_what_it_cannot_rank():
         codim_rank(4, (0b10000,))
     with pytest.raises(VariableIndexError):
         codim_rank(4, (0,))
+
+
+def test_codim_rank_checks_the_int64_limit_before_building_a_table():
+    # [32 16]_2 is about 2**256; its block table would hold C(32, 16) rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationRangeError, match=r"2\*\*63 - 1"):
+            codim_rank(32, [1 << i for i in range(16)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_materialized_cache_consistent():

@@ -4,7 +4,7 @@ Run from the repository root with the tree to measure first on PYTHONPATH:
 
     PYTHONPATH=src python3 tools/bench_scan.py --repeat 5 --seed 1
 
-It prints one JSON object with five keys:
+It prints one JSON object with six keys:
 
   stages  for each (n, k) in STAGES, over a full degreedrop._drop_chunks(f, k)
           scan of a fixed function f of degree r, one sample per --repeat
@@ -36,6 +36,11 @@ It prints one JSON object with five keys:
           of a fresh `python -m degstab analyze --n N --anf x1*...*xN
           --max-codim 1`, with this process's PYTHONPATH; run before the
           other keys (see main)
+  new_step  profile's `new` step over the ten NEW_STEP_* functions, one
+          sample per --repeat (after one warm-up pass): the seconds of a
+          pass of degreedrop.profile(f, 3) over all ten (pass_s), of the
+          degreedrop._child_count calls inside it (child_count_s) and of
+          the subspaces.codim_rank calls inside those (codim_rank_s)
   spaces  for N in SPACE_VARS and each call in SPACE_CALLS, one sample per
           --repeat: wall_s and peak_rss_mb as for analyze, of a fresh
           interpreter that imports degstab, builds x1 and x1*...*xN, and
@@ -43,7 +48,8 @@ It prints one JSON object with five keys:
           the distinct values it returned; run before the other keys too
 
 The stages call private scan functions that the tree's degreedrop module has
-had since the substitution route (08695fa), the kernels and spaces only
+had since the substitution route (08695fa), new_step rebinds two it has had
+since subspaces were ranked (c01b6a0), the kernels and spaces call only
 public functions, and analyze only the CLI, so one copy of this file
 measures those older trees too.
 """
@@ -61,6 +67,7 @@ from itertools import combinations
 
 from degstab import degreedrop, invariants
 from degstab.anf import ANF
+from degstab.catalog import representative
 from degstab.subspaces import materialized_codim
 
 # (n, k, function): the stream-n9 count, catalog-n8's profile steps, a
@@ -76,6 +83,10 @@ STAGES = (
     (7, 3, "123+456+147"),
 )
 ROUTES = {"_substituted": "substitute", "_gathered": "gather"}
+# the new_step functions at n = 8: catalog-n8's five quintic complements,
+# and five of its cubics
+NEW_STEP_COMPLEMENTS = ("f13", "f14", "f17", "f20", "f27")
+NEW_STEP_CUBICS = ("f2", "f3", "f7", "f12", "f30")
 # variables of the single monomial that the analyze key reports on
 ANALYZE_VARS = (16, 20, 22)
 # the spaces key: variables, and the calls on x1 and on full = x1*...*xN,
@@ -127,6 +138,37 @@ def stage_times(n: int, k: int, text: str) -> dict[str, float]:
         for name, fn in saved.items():
             setattr(degreedrop, name, fn)
     return out
+
+
+def _clocked(fn, key: str, into: dict):
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            into[key] += time.perf_counter() - t0
+
+    return wrapper
+
+
+def new_step_times(repeat: int) -> dict[str, list[float]]:
+    funcs = [representative(c).complement_anf() for c in NEW_STEP_COMPLEMENTS]
+    funcs += [representative(c).anf() for c in NEW_STEP_CUBICS]
+    spent = {}
+    saved = degreedrop._child_count, degreedrop.codim_rank
+    degreedrop._child_count = _clocked(saved[0], "child_count_s", spent)
+    degreedrop.codim_rank = _clocked(saved[1], "codim_rank_s", spent)
+    samples = []
+    try:
+        for _ in range(repeat + 1):
+            spent.update(child_count_s=0.0, codim_rank_s=0.0)
+            t0 = time.perf_counter()
+            for f in funcs:
+                degreedrop.profile(f, 3)
+            samples.append({"pass_s": time.perf_counter() - t0, **spent})
+    finally:
+        degreedrop._child_count, degreedrop.codim_rank = saved
+    return {key: [round(s[key], 5) for s in samples[1:]] for key in samples[0]}
 
 
 def exit_scans(seed: int) -> list[dict]:
@@ -267,6 +309,7 @@ def main() -> int:
         "stages": stages,
         "exits": exit_scans(args.seed),
         "kernels": kernel_times(args.seed, args.repeat),
+        "new_step": new_step_times(args.repeat),
         "analyze": analyze,
         "spaces": spaces,
     }))
