@@ -118,6 +118,11 @@ def _cmd_enumerate_dd(args: argparse.Namespace) -> int:
 # prints is below 2**C(n, r), which has at most 4,300 digits, CPython's
 # default limit for printing an int, when C(n, r) <= 14,284.
 MAX_COUNT_MONOMIALS = 14_284
+# The highest degree r that `count` accepts. Its histogram sums O(r**2)
+# terms of Gaussian binomials, whose cost grows with r, not with C(n, r):
+# a whole `count` run at r = 100 (n <= 102 there) ends within 0.6 s on
+# 2 vCPUs, and `--n 200 --r 199` took 3.5 s.
+MAX_COUNT_DEGREE = 100
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -126,6 +131,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
         raise DegstabError(
             f"count needs C(n, r) <= {MAX_COUNT_MONOMIALS}, the monomials whose"
             f" counts print in full; got C({n}, {r}) = {math.comb(n, r)}"
+        )
+    if MAX_COUNT_DEGREE < r <= n:
+        raise DegstabError(
+            f"count needs r <= {MAX_COUNT_DEGREE}, the degrees whose counts end"
+            f" within a second; got r={r}"
         )
     hist = counting.dd_hyperplane_histogram(r, n)
     if args.json:

@@ -78,7 +78,15 @@ f|_S = g|_{a.y=0}.
   weight-r part is g's top part and the normals rule above applies to g.
   Both cases are the kernel of the conditions built from g's weight-r
   coefficients: that part is zero when U drops, so the kernel is F_2^m.
-  So U contains c(U) = 2**dim(kernel) - 1 dropping codim-k spaces.
+  So U contains c(U) = 2**dim(kernel) - 1 dropping codim-k spaces. At
+  k = 1, U is F_2^n and g is f, so existence reads f's normal span.
+* Kernel. One elimination, batched over the spaces U, clears the top bit
+  first, j = m - 1 .. 0, with every condition below 2**(j + 1).
+  The largest condition is the pivot, zeroed when it lacks bit j, and each
+  condition c becomes min(c, c ^ pivot): c ^ pivot < 2**j < c when c holds
+  bit j, and c ^ pivot >= 2**j > c when it does not, so the min clears
+  bit j by one row operation. That is three passes over the conditions
+  per column: a max, an XOR and a min.
 * Counts. A codim-k space lies in exactly 2**k - 1 codim-(k-1) spaces, the
   hyperplanes of its k-dimensional annihilator, so count_k = sum over U of
   c(U) / (2**k - 1). Some codim-k space drops iff some c(U) > 0.
@@ -344,15 +352,16 @@ def _substituted(coeffs: np.ndarray, n: int, first: list[int], size: int) -> np.
 def _normal_conditions(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The normal-kernel conditions on m variables, as gathers from the
     weight-r coefficients: column j is the degree-(r+1) monomial nu_j, row t
-    its t-th variable i. Returns (index of nu_j - i, bit of i), each of shape
-    (r + 1, C(m, r + 1)); the bits in the smallest dtype that holds m bits.
+    its t-th variable i. Returns (position of nu_j - i among the weight-r
+    positions, bit of i), each of shape (r + 1, C(m, r + 1)); the bits in
+    the smallest dtype that holds m bits.
     """
     nu = _weight(m, r + 1)
     rest = nu.copy()
     src, bit = [], []
     for _ in range(r + 1):
         low = rest & -rest
-        src.append(nu ^ low)
+        src.append(np.searchsorted(_weight(m, r), nu ^ low))
         bit.append(low)
         rest ^= low
     src = np.array(src).reshape(r + 1, -1)
@@ -369,24 +378,36 @@ def _normal_kernel_dims(rows: np.ndarray, r: int) -> np.ndarray:
 
     A row whose weight-r part is zero (a restriction that already drops)
     has no condition, so its kernel is all of F_2^m.
+
+    The elimination clears the top bit first, j = m - 1 .. 0, and keeps
+    every condition below 2**(j + 1). The largest condition is the pivot,
+    zeroed when it lacks bit j (then no condition has it). Each condition c
+    becomes min(c, c ^ pivot): if c holds bit j, c ^ pivot < 2**j < c, and
+    if not, c ^ pivot >= 2**j > c, so the min clears bit j by one row
+    operation and touches nothing else. The pivot row itself becomes 0 once
+    it has been counted; without the zeroing, a column with no pivot would
+    clear a condition that was never counted.
     """
     m = rows.shape[-1].bit_length() - 1
     src, bit = _normal_conditions(m, r)
     if not src.size:
         return np.full(len(rows), m)
-    # one row of conditions per output monomial, one column per ANF row, so
-    # every step below runs along the rows
-    conds = np.zeros((src.shape[1], len(rows)), dtype=bit.dtype)
-    for s, b in zip(src, bit):
-        conds |= rows.T[s] * b[:, None]
-    dims = np.full(len(rows), m)
-    for j in range(m):
-        has = (conds >> j) & 1
-        # any condition with bit j serves as the pivot; the largest is one
-        pivot = (conds * has).max(axis=0)
-        conds ^= pivot * has
-        dims -= (pivot >> j) & 1
-    return dims
+    # the weight-r coefficients, one row per monomial and one column per ANF
+    # row, so that the gathers read whole rows and every step below runs
+    # along the ANF rows
+    part = np.ascontiguousarray(rows[:, _weight(m, r)].T)
+    conds = part[src[0]] * bit[0][:, None]
+    for s, b in zip(src[1:], bit[1:]):
+        conds |= part[s] * b[:, None]
+    scratch = np.empty_like(conds)
+    rank = np.zeros(len(rows), dtype=np.intp)
+    for j in reversed(range(m)):
+        pivot = conds.max(axis=0)
+        top = pivot >> j
+        pivot *= top
+        np.minimum(conds, np.bitwise_xor(conds, pivot, out=scratch), out=conds)
+        rank += top
+    return m - rank
 
 
 def _lifted(f: ANF, k: int, ramp: bool = False):
@@ -486,7 +507,10 @@ def degree_drop_count(f: ANF, k: int) -> int:
 
 def has_degree_drop_space(f: ANF, k: int) -> bool:
     """True iff some linear subspace of co-dimension k is degree-drop, i.e.
-    some codim-(k-1) restriction has a nonzero normal kernel."""
+    some codim-(k-1) restriction has a nonzero normal kernel. At k = 1 that
+    restriction is f itself, so the normal span of its top part answers."""
+    if k == 1 <= f.n:
+        return bool(hyperplane_normal_basis(f.n, _top(f)))
     return any(c.any() for _, _, c in _lifted(f, k, ramp=True))
 
 

@@ -15,7 +15,7 @@ import pytest
 import degstab
 from degstab import catalog
 from degstab.catalog import load_catalog
-from degstab.cli import MAX_COUNT_MONOMIALS, main
+from degstab.cli import MAX_COUNT_DEGREE, MAX_COUNT_MONOMIALS, main
 
 
 def run(capsys, argv):
@@ -120,6 +120,26 @@ def test_count_limit_keeps_every_accepted_count_printable(capsys):
     assert code == 0 and 4000 < len(out) <= 4301
     code, _, err = run(capsys, ["count", "--n", "46", "--r", "3"])
     assert code == 2 and "C(46, 3) = 15180" in err
+
+
+@pytest.mark.parametrize("n, r", [(400, 399), (200, 199), (101, 101), (103, 101)])
+def test_count_above_the_degree_limit_is_a_usage_error(capsys, n, r):
+    # C(n, r) is small for each, but the histogram's work grows with r:
+    # 400, 399 once ran past 20 s
+    code, out, err = run(capsys, ["count", "--n", str(n), "--r", str(r)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: count needs r <= {MAX_COUNT_DEGREE}, the degrees whose counts"
+        f" end within a second; got r={r}\n"
+    )
+
+
+def test_count_degree_limit_accepts_its_edge(capsys):
+    # the heaviest accepted degree; the histogram checks its own sum
+    r = MAX_COUNT_DEGREE
+    code, out, _ = run(capsys, ["count", "--n", str(r + 2), "--r", str(r), "--json"])
+    assert code == 0
+    assert sum(json.loads(out)["histogram"]) == 2 ** comb(r + 2, r) - 1
 
 
 def test_analyze_human(capsys):

@@ -1,5 +1,6 @@
 """Property tests: hyperplane normals, fast points and profiles under affine
-maps, the lifted codim-k engine against a direct scan, and subspace ranks.
+maps, the lifted codim-k engine against a direct scan, its batched normal
+kernel against the oracle, and subspace ranks.
 
 For g(x) = f(Mx + a) with M invertible, a hyperplane b.y = c of f pulls
 back to (M^T b).x = c', and D_a' g(x) = (D_{Ma'} f)(Mx + a). So the normals
@@ -134,6 +135,42 @@ def test_new_codim2_closed_form(case):
     n, r1 = g.n, dd_hyperplane_normal_space(g).dim
     row = profile(g, 2).rows[1]
     assert row.new == row.count - gaussian_binomial(n, 2) + 4**r1 * gaussian_binomial(n - r1, 2)
+
+
+@st.composite
+def weight_r_parts(draw, m, r, max_rows=8):
+    """ANF rows on m variables, as a uint8 array, whose weight-r parts mix
+    kinds: zero, random, and monomials that all hold a drawn set of
+    variables, whose conditions then miss those bits. The other weights
+    are random and must not matter."""
+    layer = [mu for mu in range(1 << m) if mu.bit_count() == r]
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        bits = draw(st.integers(0, (1 << (1 << m)) - 1))
+        row = [bits >> x & 1 for x in range(1 << m)]
+        for mu in layer:
+            row[mu] = 0
+        kind = draw(st.sampled_from(["zero", "random", "held"]))
+        held = draw(st.integers(0, (1 << m) - 1)) if kind == "held" else 0
+        if kind != "zero":
+            pool = [mu for mu in layer if mu & held == held] or layer
+            for mu in draw(st.lists(st.sampled_from(pool), max_size=len(pool))):
+                row[mu] = 1
+        rows.append(row)
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), 1 << m)
+
+
+@pytest.mark.parametrize("m, r", [(m, r) for m in range(10) for r in range(m + 1)])
+@settings(PROPERTY, max_examples=6)
+@given(data=st.data())
+def test_normal_kernel_dims_match_the_oracle(m, r, data):
+    rows = data.draw(weight_r_parts(m, r))
+    want = [
+        len(oracles.canonical_kernel(m, oracles.normal_conditions(
+            m, [mu for mu in range(1 << m) if mu.bit_count() == r and row[mu]])))
+        for row in rows
+    ]
+    assert degreedrop._normal_kernel_dims(rows, r).tolist() == want
 
 
 @st.composite
