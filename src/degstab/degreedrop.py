@@ -11,36 +11,38 @@ directions have a k-fold derivative of degree <= r - k (each derivative
 lowers the degree), flagged when its weight r - k is zero (empty if k > r).
 It runs in chunks of the enumeration order. An existence query
 (has_degree_drop_space, and through it k_membership and deg_stab) stops at
-the first chunk with a drop, so its chunks ramp: the first holds
-_POINTS >> _RAMP points and each next one twice as many, up to _POINTS.
-Counts, profiles, enumerate_degree_drop and the duality read every row, so
-they take full _POINTS chunks, which cost the fewest numpy calls. Chunk
-sizes change neither the order of the rows nor any result.
+the first chunk with a drop, so its chunks ramp, unless the whole level
+fits one full chunk: the first holds _POINTS >> _RAMP points and each next
+one twice as many, up to _POINTS. Counts, profiles, enumerate_degree_drop
+and the duality read every row, so they take full _POINTS chunks, which
+cost the fewest numpy calls. Chunk sizes change neither the order of the
+rows nor any result.
 
-The rows come from one of two routes, chosen per pivot block (see
-subspaces._pivot_blocks); both give the same bytes in the same order.
+The rows of co-dimension k come from those of co-dimension k - 1, one
+substitution per pivot (see subspaces._pivot_blocks for the order).
 
-* Substitution, for a block of at least _SUBSTITUTE points. Let V have
-  RREF forms l_1..l_k with pivots p_1 < .. < p_k, and a_i the free columns
-  of l_i, all above p_i. The point of V with free coordinates y has
-  x_c = y_c at each free column c and x_(p_i) = sum over c in a_i of y_c,
-  so f|_V is f with each x_(p_i) replaced by that sum. Replace the highest
-  pivot p = p_k first: write f = A + x_p B with A and B free of x_p. Then
-  f|_(x_p = l) = A + l B = A + sum over c in a_k of x_c B, and the ANF of
-  x_c B has coefficient B_S + B_(S-c) at every S that holds c (from
-  x_c x^S = x_c x^(S-c) = x^S) and 0 at every other S. Dropping x_p from
-  the coefficient index moves only the positions above p, so the lower
-  pivots keep theirs and are replaced next, the same way. The 2**s spaces
-  that differ only in the s free bits of one form share A and B, and
-  their rows are the XOR span of the s rows x_c B over A: one XOR of
-  64-bit words per row, built by doubling. Row 0's free bits are the low
-  bits of the free-bit integer g, and its pivot is replaced last, so the
-  rows come out in the order of g, which is the canonical order.
-* Gather, for each run of smaller blocks: the truth table read at every
-  point of each space (bits.xor_points of its solution basis), then one
-  batched Moebius transform along the point axis (anf.mobius_inplace, on
-  64-bit words). Below _SUBSTITUTE points the numpy calls that the
-  substitution makes per block cost more than this.
+* One pivot. Let U be a codim-(k-1) space, g = f|_U its ANF in U's m
+  coordinates, and S = U ∩ {x_p = sum over c in a of x_c} a hyperplane of
+  U, a a set of coordinates above p. Write g = A + x_p B with A and B free
+  of x_p. Then g|_S = A + sum over c in a of x_c B, and the ANF of x_c B
+  has coefficient B_T + B_(T-c) at every T that holds c (from
+  x_c x^T = x_c x^(T-c) = x^T) and 0 at every other T. Dropping x_p from
+  the coefficient index moves only the positions above p. The 2**s such S
+  of U, s = m - 1 - p, share A and B, and their rows are the XOR span of
+  the s rows x_c B over A: one XOR of 64-bit words per row, by doubling.
+* Order. Canonical order is lexicographic in the pivots p_1 < .. < p_k, so
+  the codim-k spaces with lowest pivot p_1 are the hyperplanes with pivot
+  p_1 of the codim-(k-1) spaces whose pivots all exceed p_1, a suffix of
+  that order. Column p_1 is then U's coordinate p_1 and the other forms are
+  U's, so a child's free-bit integer is U's above the first form's free
+  bits, which vary fastest. One call per p_1 over the suffix gives the
+  children in canonical order: n - k + 1 calls per level, more where the
+  children of a suffix exceed one chunk.
+
+A parent level that fits _POINTS bytes, in a scan that is not ramped, is
+built once and held; any other is streamed again for each p_1 in pieces
+of at most _POINTS points. No level is kept from one co-dimension's scan
+to the next.
 
 Hyperplane normals and fast points need no scan. Both are GF(2) kernels read
 off the top part f_r of a function f of degree r >= 0, with l_a = sum a_i x_i:
@@ -111,7 +113,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import f2
-from .anf import ANF, NEG_INF, Degree, _check_directions, mobius_inplace
+from .anf import _LANES, ANF, NEG_INF, Degree, _check_directions, mobius_inplace
 from .bits import check_mask, popcount_table, xor_points
 from .errors import (
     ConstantFunctionError,
@@ -125,7 +127,6 @@ from .subspaces import (
     LinearSubspace,
     _CACHE_LIMIT,
     _PIECE,
-    _block_rows,
     _canonical_forms,
     _pivot_blocks,
     _regroup,
@@ -141,11 +142,6 @@ _CHUNK = 8192
 _POINTS = 1 << 19
 # Doublings from an existence query's first chunk up to _POINTS.
 _RAMP = 4
-# Points of a pivot block from which its restrictions are computed by
-# substitution in the ANF instead of the truth-table gather. Below it the
-# substitution's numpy calls per block cost more than the gather of a run
-# of small blocks; 2**13 was slower at (7, 2) and (7, 3), 2**15 no faster.
-_SUBSTITUTE = 1 << 14
 # The most codim-(j+1) spaces for which _child_count marks the children in
 # a boolean array, one byte per space, instead of sorting their ranks.
 _SEEN_BYTES = 1 << 24
@@ -203,74 +199,77 @@ def _drop_chunks(f: ANF, k: int, ramp: bool = False):
 
     `forms` is an int64 array of RREF annihilators, one row of k per
     subspace. `anf_rows` holds the restrictions' ANF coefficients, one row
-    of 2**(n-k) per subspace. Chunks are sized by _chunk_rows.
+    of 2**(n-k) per subspace. Chunks are sized by _chunk_rows; a ramped scan
+    whose whole level fits one full chunk reads it as that one chunk.
     """
     if not 0 <= k <= f.n:
         raise EnumerationRangeError(f"co-dimension must lie in 0..n={f.n}, got {k}")
     r = _int_degree(f)
+    ramp = ramp and count_codim(f.n, k) << (f.n - k) > _POINTS
     pieces = _restriction_pieces(f, k, ramp)
     for forms, rows in _regroup(pieces, _chunk_rows(f.n - k, ramp)):
         yield forms, ~rows[:, _weight(f.n - k, r)].any(axis=1), rows
 
 
 def _restriction_pieces(f: ANF, k: int, ramp: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(forms, anf_rows) of f's codim-k restrictions in canonical order.
+    """(forms, anf_rows) of f's codim-k restrictions in canonical order, in
+    pieces no longer than the chunks of _chunk_rows, so that an existence
+    query restricts few spaces beyond the chunk that ends it. The forms are
+    sliced from materialized_codim when [n k]_2 is cached, and read from the
+    _pivot_blocks pieces otherwise."""
+    if count_codim(f.n, k) <= _CACHE_LIMIT:
+        blocks = iter([materialized_codim(f.n, k)[0]])
+    else:
+        blocks = (forms for forms, _ in _pivot_blocks(f.n, k, _PIECE))
+    forms = np.empty((0, k), dtype=np.int64)
+    for rows in _restricted(f, k, 0, ramp):
+        while len(rows):
+            if not len(forms):
+                forms = next(blocks)
+            take = min(len(forms), len(rows))
+            yield forms[:take], rows[:take]
+            forms, rows = forms[take:], rows[take:]
 
-    Pieces grow like the chunks of _chunk_rows, so an existence query
-    restricts few spaces beyond the chunk that ends it. A piece of a
-    segment marked for substitution holds 2**q spaces of one block from a
-    multiple of 2**q on, as _substituted needs.
+
+def _restricted(f: ANF, k: int, lo: int, ramp: bool) -> Iterator[np.ndarray]:
+    """ANF rows of f's restrictions to the codim-k spaces whose pivots are
+    all at least lo, in canonical order, in pieces no longer than the chunks
+    of _chunk_rows. Level 0 is f's coefficients. For p = lo .. n - k, the
+    parents are the last [n-p-1 k-1]_2 rows of level k - 1, those with
+    every pivot above p (see the module docstring): sliced from that level
+    when it is held, streamed again otherwise.
     """
-    limits = _chunk_rows(f.n - k, ramp)
-    for forms, bases, substitute in _segments(f.n, k):
-        o = 0
-        while o < len(forms):
-            size = min(next(limits), len(forms) - o)
-            if substitute:
-                size = min(size, o & -o or size)
-                rows = _substituted(f.coeffs, f.n, forms[o].tolist(), size)
-            else:
-                rows = _gathered(f.truth_table(), bases[o : o + size])
-            yield forms[o : o + size], rows
-            o += size
-
-
-def _segments(n: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
-    """(forms, bases, substitute) over the codim-k spaces in canonical order.
-
-    When [n k]_2 is cached, one segment per _routes entry, sliced from
-    materialized_codim. Otherwise the _pivot_blocks pieces, which hold
-    min(_PIECE, block) rows of one block from a multiple of their length on.
-    """
-    routes = _routes(n, k, _SUBSTITUTE)
-    if count_codim(n, k) <= _CACHE_LIMIT:
-        forms, bases = materialized_codim(n, k)
-        for start, stop, substitute in routes:
-            yield forms[start:stop], bases[start:stop], substitute
+    if k == 0:
+        yield f.coeffs.reshape(1, -1)
         return
-    at = stop = 0
-    route = iter(routes)
-    for forms, bases in _pivot_blocks(n, k, _PIECE):
-        while at >= stop:
-            _, stop, substitute = next(route)
-        yield forms, bases, substitute
-        at += len(forms)
+    n, m = f.n, f.n - k + 1  # m: the dimension of a parent
+    limits = _chunk_rows(m - 1, ramp)
+    held = not ramp and count_codim(n, k - 1) << m <= _POINTS
+    if held:
+        level = np.concatenate(list(_restricted(f, k - 1, lo + 1, False)))
+    for p in range(lo, m):
+        count = count_codim(n - p - 1, k - 1)
+        for rows in [level[len(level) - count :]] if held else _restricted(f, k - 1, p + 1, ramp):
+            yield from _children(rows, p, limits)
 
 
-@lru_cache(maxsize=None)
-def _routes(n: int, k: int, least: float) -> tuple[tuple[int, int, bool], ...]:
-    """The canonical order of the codim-k spaces cut into (start, stop,
-    substitute): one entry with substitute True per pivot block of at least
-    `least` points, and one with False per run of smaller blocks."""
-    out: list[tuple[int, int, bool]] = []
-    blocks = _block_rows(n, k)
-    for start, rows in zip(blocks.starts.tolist(), blocks.rows):
-        big = rows << (n - k) >= least
-        if out and not big and not out[-1][2]:
-            out[-1] = (out[-1][0], start + rows, False)
-        else:
-            out.append((start, start + rows, big))
-    return tuple(out)
+def _children(rows: np.ndarray, p: int, limits: Iterator[int]) -> Iterator[np.ndarray]:
+    """The _substituted rows of the hyperplanes with pivot p of the spaces
+    with ANF rows `rows`, in pieces of at most next(limits) rows: whole
+    parents when all 2**s of a parent's fit, else one parent's in pieces of
+    2**q from a multiple of 2**q on."""
+    s = rows.shape[1].bit_length() - 2 - p
+    i = g = 0
+    while i < len(rows):
+        size = next(limits)
+        if not g and size >> s:
+            yield _substituted(rows[i : i + (size >> s)], p, 0, 1 << s)
+            i += size >> s
+            continue
+        size = min(size, g & -g or size)
+        yield _substituted(rows[i : i + 1], p, g, size)
+        g = (g + size) % (1 << s)
+        i += not g
 
 
 def _floor2(x: int) -> int:
@@ -278,74 +277,55 @@ def _floor2(x: int) -> int:
     return 1 << (max(1, x).bit_length() - 1)
 
 
-def _gathered(tt: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """ANF rows of the restrictions to the spaces with these solution bases:
-    the truth table read at every point, then a batched Moebius transform."""
-    return mobius_inplace(tt[xor_points(bases)])
-
-
-@lru_cache(maxsize=None)
-def _substitution_plan(n: int, pivots: tuple[int, ...]) -> tuple:
-    """Per row i of a pivot block, highest pivot first: (i, its free columns
-    c above pivots[i], ascending, and the position each c takes in the
-    coefficient index once pivots[i:] are removed from it)."""
-    plan = []
-    for i in reversed(range(len(pivots))):
-        cols = [c for c in range(pivots[i] + 1, n) if c not in pivots]
-        plan.append((i, cols, [c - sum(pivots[i] <= q < c for q in pivots) for c in cols]))
-    return tuple(plan)
-
-
-def _times_variable(b: np.ndarray, c: int) -> np.ndarray:
-    """ANF rows of x_c * B from B's rows b, c a position in their index:
-    coefficient S is b_S + b_(S-c) when c is in S, and 0 otherwise, as
-    x_c x^T = x^(T+c) is x^S for T = S and for T = S - c."""
-    t = np.zeros(b.shape, dtype=np.uint8)
-    bv = b.reshape(len(b), -1, 2, 1 << c)
-    np.bitwise_xor(bv[:, :, 1], bv[:, :, 0], out=t.reshape(bv.shape)[:, :, 1])
-    return t
-
-
 def _words(rows: np.ndarray) -> np.ndarray:
     """The rows as 64-bit words when their length allows, for wide XORs."""
     return rows.view(np.uint64) if rows.shape[-1] % 8 == 0 else rows
 
 
-def _substituted(coeffs: np.ndarray, n: int, first: list[int], size: int) -> np.ndarray:
-    """ANF rows of f (coefficients `coeffs`) restricted to `size` spaces of
-    one pivot block: size is a power of two 2**q, and `first` is the RREF
-    annihilator of the first space, whose free-bit integer g is a multiple
-    of size. The rows come in the order g, g + 1, .., g + size - 1.
+def _times_variable(b: np.ndarray, c: int, t: np.ndarray) -> np.ndarray:
+    """ANF rows of x_c * B into t, from B's rows b, c a position in their
+    index: coefficient S is b_S + b_(S-c) when c is in S, and 0 otherwise,
+    as x_c x^T = x^(T+c) is x^S for T = S and for T = S - c. b and t are
+    _words views; below c = 3 the step runs inside each 64-bit word, by a
+    shift and a lane mask as in anf.mobius_inplace."""
+    if t.dtype == np.uint64:  # 2**3 coefficients per word
+        if c < 3:
+            np.left_shift(b, np.uint64(8 << c), out=t)
+            t ^= b
+            t &= np.uint64(_LANES[c])
+            return t
+        c -= 3
+    bv = b.reshape(len(b), -1, 2, 1 << c)
+    tv = t.reshape(bv.shape)
+    tv[:, :, 0] = 0
+    np.bitwise_xor(bv[:, :, 1], bv[:, :, 0], out=tv[:, :, 1])
+    return t
 
-    Pivots are replaced highest first (see the module docstring): form i,
-    with pivot p, maps f = A + x_p B to A + sum over c in a of x_c B, a its
-    free columns. The low q bits of g (row 0's free slots first) run over
-    all their values, each such slot c doubling the rows by an XOR with
-    x_c B; `first` fixes the higher bits.
+
+def _substituted(rows: np.ndarray, p: int, first: int, size: int) -> np.ndarray:
+    """ANF rows of the hyperplanes with pivot p of the spaces with ANF rows
+    `rows`, in their m coordinates (the one-pivot rule of the module
+    docstring): per row, those with the free-bit integers g = first ..
+    first + size - 1, size a power of two and first a multiple of it. Bit j
+    of g is the form's bit at coordinate p + 1 + j, position p + j once x_p
+    leaves the index. From A, the bits of `first` above size add their
+    x_(p+j) B; each bit below doubles the rows by an XOR with x_(p+j) B.
     """
-    k = len(first)
-    pivots = tuple((a & -a).bit_length() - 1 for a in first)
-    spans = []  # free slots of each row that run over all their values
+    count, half = len(rows), rows.shape[1] // 2
+    split = rows.reshape(count, -1, 2, 1 << p)
+    b = _words(np.ascontiguousarray(split[:, :, 1]).reshape(count, half))
+    t = np.empty_like(b)
+    out = np.empty((count, size, half), dtype=np.uint8)
+    out[:, 0].reshape(split[:, :, 0].shape)[...] = split[:, :, 0]
+    words = _words(out)
     q = size.bit_length() - 1
-    for i, p in enumerate(pivots):
-        spans.append(min(q, n - k + i - p))
-        q -= spans[-1]
-    cur = coeffs.reshape(1, -1)
-    for i, cols, pos in _substitution_plan(n, pivots):
-        rows, half, s = len(cur), cur.shape[1] // 2, spans[i]
-        split = cur.reshape(rows, -1, 2, 1 << pivots[i])
-        b = np.ascontiguousarray(split[:, :, 1]).reshape(rows, half)
-        out = np.empty((rows, 1 << s, half), dtype=np.uint8)
-        out[:, 0].reshape(split[:, :, 0].shape)[...] = split[:, :, 0]
-        for c, at in zip(cols[s:], pos[s:]):
-            if first[i] >> c & 1:
-                _words(out[:, 0])[...] ^= _words(_times_variable(b, at))
-        words = _words(out)
-        for j in range(s):
-            t = _words(_times_variable(b, pos[j]))
-            np.bitwise_xor(words[:, : 1 << j], t[:, None], out=words[:, 1 << j : 2 << j])
-        cur = out.reshape(rows << s, half)
-    return cur
+    for j in range(q, first.bit_length()):
+        if first >> j & 1:
+            words[:, 0] ^= _times_variable(b, p + j, t)
+    for j in range(q):
+        xc_b = _times_variable(b, p + j, t)[:, None]
+        np.bitwise_xor(words[:, : 1 << j], xc_b, out=words[:, 1 << j : 2 << j])
+    return out.reshape(count * size, half)
 
 
 @lru_cache(maxsize=None)

@@ -17,9 +17,12 @@ solution bases are built at once by scattering the bits of arange(2**slots)
 into the slots, and blocks longer than the chunk size are split.
 
 This order is rank order: codim_rank gives each subspace its position, the
-start of its pivot block, read by pivot mask from the one block table that
-the scan engine's route segmentation reads too (_block_rows), plus its
-free-bit integer. The profile's `new` step names subspaces by rank.
+start of its pivot block, read by pivot mask from a cached block table
+(_block_rows), plus its free-bit integer. The profile's `new` step names
+subspaces by rank. The order is also lexicographic in the pivots, so the
+spaces whose pivots all exceed p are a suffix of it, the last [n-p-1 k]_2;
+the scan engine builds each co-dimension's restrictions from those
+suffixes of the one below.
 """
 
 from __future__ import annotations
@@ -263,25 +266,25 @@ def _pivot_blocks(n: int, k: int, size: int) -> Iterator[tuple[np.ndarray, np.nd
 
 class _Blocks(NamedTuple):
     """The pivot blocks in canonical order: pivot masks, the order that sorts
-    them, rows (2**slots) and start ranks, int64 where [n k]_2 fits it."""
+    them, and start ranks, int64 where [n k]_2 fits it."""
 
     masks: np.ndarray
     by_mask: np.ndarray
-    rows: tuple[int, ...]
     starts: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _block_rows(n: int, k: int) -> _Blocks:
-    """The pivot block table of co-dimension k. Row i with pivot q has
-    n - k + i - q free slots, so a block has top - sum(pivots) of them."""
+    """The pivot block table of co-dimension k, which codim_rank reads. A
+    block has 2**slots rows: row i with pivot q has n - k + i - q free
+    slots, so a block has top - sum(pivots) of them."""
     top = k * (n - k) + k * (k - 1) // 2
     combos = itertools.combinations(range(n), k)
     masks, rows = zip(*((sum(1 << p for p in c), 1 << (top - sum(c))) for c in combos))
     masks = np.array(masks, dtype=np.int64)
     starts = list(itertools.accumulate(rows, initial=0))[:-1]
     dtype = np.int64 if count_codim(n, k) <= _INT64_MAX else object
-    return _Blocks(masks, np.argsort(masks), rows, np.array(starts, dtype=dtype))
+    return _Blocks(masks, np.argsort(masks), np.array(starts, dtype=dtype))
 
 
 def _chunks(n: int, k: int, chunk_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -3,8 +3,11 @@
 Everything here is deliberately slow and simple: direct monomial
 evaluation, textbook subset-sum coefficient extraction, symbolic
 substitution over sets of monomials, and span enumeration by brute
-force. Nothing is shared with the code under test; monomials are plain
-integer masks with bit i-1 standing for variable x_i.
+force. The one numpy routine, gathered_rows, is the truth-table gather and
+Moebius transform, a route the scan engine does not take, batched so that
+whole scans at n = 9..12 can be checked. Nothing is shared with the code
+under test; monomials are plain integer masks with bit i-1 standing for
+variable x_i.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 # -- truth tables and coefficients -------------------------------------------
@@ -318,6 +323,25 @@ def restriction_rows(n: int, monomials: Iterable[int], k: int) -> list[bytes]:
     order, read off f's truth table point by point."""
     tt = truth_table(n, monomials)
     return [restriction_row(tt, basis) for _, basis in codim_forms_and_bases(n, k)]
+
+
+def gathered_rows(n: int, monomials: Iterable[int], k: int) -> np.ndarray:
+    """restriction_rows as one uint8 array, one row per codim-k space, by the
+    truth-table gather: f's truth table read at every point of each space
+    (index bit j standing for basis vector j), then the Moebius transform
+    along the point axis, one numpy butterfly stage per bit. Fast enough for
+    full scans at n = 9..12."""
+    tt = np.array(truth_table(n, monomials), dtype=np.uint8)
+    spaces = codim_forms_and_bases(n, k)
+    bases = np.array([basis for _, basis in spaces], dtype=np.int32).reshape(len(spaces), n - k)
+    points = np.zeros((len(spaces), 1), dtype=np.int32)
+    for j in range(n - k):
+        points = np.concatenate([points, points ^ bases[:, j : j + 1]], axis=1)
+    rows = tt[points]
+    for j in range(n - k):
+        stage = rows.reshape(len(rows), -1, 2, 1 << j)
+        stage[:, :, 1] ^= stage[:, :, 0]
+    return rows
 
 
 # -- symbolic restriction -------------------------------------------------------

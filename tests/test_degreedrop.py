@@ -312,6 +312,11 @@ def test_ramped_chunks_concatenate_to_the_enumeration(monkeypatch):
     monkeypatch.setattr(degreedrop, "_POINTS", 1 << 8)
     sizes = [len(forms) for forms, _, _ in degreedrop._drop_chunks(f, 2, True)]
     assert sizes[:6] == [1, 1, 2, 4, 8, 8]
+    # a level that fits one full chunk is read as that chunk, unramped: the
+    # 511 hyperplanes at n = 9 take 130,816 of the 2**19 points
+    monkeypatch.undo()
+    f = ANF.parse("123+456+789+147+258", 9)
+    assert [len(forms) for forms, _, _ in degreedrop._drop_chunks(f, 1, True)] == [511]
 
 
 def test_existence_reaches_a_drop_in_the_last_rows(monkeypatch):
@@ -361,66 +366,82 @@ def _assert_scans_equal(got, want, where):
 
 
 def test_restriction_routes_match_the_truth_table_oracle(monkeypatch):
-    # every n <= 7 and k, with substitution for every block (threshold 0),
-    # for none (infinite) and for blocks of 2**8 points and more; pieces cut
-    # small, so that the substitution's pieces fix the high free bits of
-    # their block; from the cache and streamed in pieces of 16 rows
+    # every n <= 7 and k, read whole and ramped, with the forms from the
+    # cache and streamed in pieces of 16 rows. At 2**9 points some parent
+    # levels fit and are held, the others are streamed again per pivot, and
+    # the one-pivot step cuts some parents' hyperplanes into pieces that fix
+    # their high free bits (ramped pieces start at 2**5 points)
     rng = random.Random(21)
-    monkeypatch.setattr(degreedrop, "_POINTS", 1 << 9)
+    points = 1 << 9
+    monkeypatch.setattr(degreedrop, "_POINTS", points)
     monkeypatch.setattr(degreedrop, "_PIECE", 16)
     cached = degreedrop._CACHE_LIMIT
+    held = set()
     for n in range(1, 8):
         f = random_nonconstant(rng, n)
         for k in range(n + 1):
             want = _oracle_scan(f, k)
-            for least in (0, 1 << 8, float("inf")):
-                monkeypatch.setattr(degreedrop, "_SUBSTITUTE", least)
+            if k:
+                held.add(count_codim(n, k - 1) << (n - k + 1) <= points)
+            for ramp in (False, True):
                 for limit in (cached, 0):
                     monkeypatch.setattr(degreedrop, "_CACHE_LIMIT", limit)
-                    ramp = least == 0  # ramped pieces start at 2**5 points
-                    _assert_scans_equal(_scan(f, k, ramp), want, (n, k, least, limit))
+                    _assert_scans_equal(_scan(f, k, ramp), want, (n, k, ramp, limit))
+    assert held == {True, False}
 
 
 def test_restriction_routes_agree_on_wider_scans():
-    # the default routes against the gather alone, and sampled rows against
-    # the oracle, where the full oracle scan would take too long
-    rng = random.Random(22)
+    # whole scans against the oracle's truth-table gather, where the
+    # point-by-point oracle would take too long
     for n, k, text in (
         (9, 2, "123+456+789+147+258"),
         (10, 1, "x1*x2*x3+x4*x5*x6+x7*x8*x9+x1*x10"),
         (12, 1, "x1*x2*x3*x4+x5*x6*x7*x8+x9*x10*x11*x12+x1*x5*x9*x12"),
     ):
         f = ANF.parse(text, n)
-        got = _scan(f, k)
-        least = degreedrop._SUBSTITUTE
-        try:
-            degreedrop._SUBSTITUTE = float("inf")
-            _assert_scans_equal(got, _scan(f, k), (n, k))
-        finally:
-            degreedrop._SUBSTITUTE = least
+        forms, _, rows = _scan(f, k)
         spaces = oracles.codim_forms_and_bases(n, k)
-        tt = oracles.truth_table(n, f.monomials())
-        for i in rng.sample(range(len(spaces)), 12):
-            forms, basis = spaces[i]
-            assert got[0][i].tolist() == list(forms)
-            assert got[2][i].tobytes() == oracles.restriction_row(tt, basis), (n, k, i)
+        assert forms.tolist() == [list(rows) for rows, _ in spaces], (n, k)
+        want = oracles.gathered_rows(n, f.monomials(), k)
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes(), (n, k)
 
 
-def test_both_routes_run_in_the_benchmarked_scans(monkeypatch):
-    # catalog-n8's profile steps scan (8, 2), stream-n9's count (9, 2)
+def test_benchmarked_scans_build_their_parent_level_once(monkeypatch):
+    # catalog-n8's profile steps scan (8, 2), stream-n9's count (9, 2). Each
+    # holds its codim-1 level, built from f by one call per pivot 1..n-1; a
+    # parent level streamed again per pivot would take n(n-1)/2 such calls
+    step = degreedrop._substituted
     for n, k, text in ((8, 2, "123+456+178+238"), (9, 2, "123+456+789+147+258")):
-        calls = {"_substituted": 0, "_gathered": 0}
-        for name in calls:
-            route = getattr(degreedrop, name)
+        widths = []
 
-            def counted(*args, route=route, name=name):
-                calls[name] += 1
-                return route(*args)
+        def counted(rows, *args):
+            widths.append(rows.shape[1])
+            return step(rows, *args)
 
-            monkeypatch.setattr(degreedrop, name, counted)
+        monkeypatch.setattr(degreedrop, "_substituted", counted)
         _scan(ANF.parse(text, n), k)
         monkeypatch.undo()
-        assert calls["_substituted"] > 0 and calls["_gathered"] > 0, (n, k, calls)
+        assert widths.count(1 << n) == n - 1, (n, k, widths)
+        assert len(widths) < 3 * n, (n, k, widths)
+
+
+def test_streamed_parents_follow_the_points_budget():
+    # a streamed parent level comes in pieces of at most _POINTS points, so
+    # rows of 2**17 and 2**19 coefficients stay a few at a time; pieces of a
+    # fixed row count would take hundreds of MB here
+    for n, call, expected in (
+        (20, lambda f: has_degree_drop_space(f, 3), True),
+        (18, lambda f: str(next(enumerate_degree_drop(f, 2))), "x1=0; x2=0"),
+    ):
+        f = ANF.from_monomials(n, [0b111])
+        tracemalloc.start()
+        try:
+            value = call(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == expected
+        assert peak < 16 << 20, (n, peak)
 
 
 def test_child_count_marks_and_sorts_alike(monkeypatch):

@@ -1,4 +1,4 @@
-"""Per-route times of the scan engine, and the rows each stream-n9 exit reduces.
+"""Per-stage times of the scan engine, and the rows each stream-n9 exit reduces.
 
 Run from the repository root with the tree to measure first on PYTHONPATH:
 
@@ -10,10 +10,11 @@ It prints one JSON object with six keys:
           scan of a fixed function f of degree r, one sample per --repeat
           (the first fills the caches and is dropped):
             scan_s        the whole scan: restriction rows, drop flags, chunks
-            substitute_s  time inside degreedrop._substituted, and
-            substitute_rows  the rows it returned
-            gather_s      time inside degreedrop._gathered (truth-table
-            gather_rows   gather and batched Moebius transform), and rows
+            restrict_s    time inside the restriction step, and
+            restrict_rows the rows it returned: degreedrop._substituted,
+                          the one-pivot step (in older trees also the
+                          substitution from f's ANF, under the same name,
+                          and the truth-table gather, degreedrop._gathered)
             kernel_s      the normal kernel on each chunk's rows, outside
                           scan_s; it runs per chunk, as in the lift, so no
                           chunk outlives the next (keeping every chunk made
@@ -68,12 +69,13 @@ from itertools import combinations
 from degstab import degreedrop, invariants
 from degstab.anf import ANF
 from degstab.catalog import representative
-from degstab.subspaces import materialized_codim
+from degstab.subspaces import count_codim
 
 # (n, k, function): the stream-n9 count, catalog-n8's profile steps, a
-# codim-1 scan at the widest rows the benchmark reaches, and two scans of
-# small blocks only (6, 2) or mostly (7, 3), as criterion 9 and the
-# exhaustive tests make
+# codim-1 scan at the widest rows the benchmark reaches, two small scans
+# (6, 2) and (7, 3), as criterion 9 and the exhaustive tests make, a
+# codim-1 scan whose hyperplanes come in pieces of one parent's (16, 1),
+# and a codim-2 scan whose parent level is streamed and not held (11, 2)
 STAGES = (
     (9, 2, "123+456+789+147+258"),
     (8, 2, "123+456+178+238"),
@@ -81,8 +83,11 @@ STAGES = (
     (12, 1, "x1*x2*x3*x4+x5*x6*x7*x8+x9*x10*x11*x12+x1*x5*x9*x12"),
     (6, 2, "123+456"),
     (7, 3, "123+456+147"),
+    (16, 1, "x1*x2*x3*x4+x5*x6*x7*x8+x9*x10*x11*x12+x13*x14*x15*x16"),
+    (11, 2, "x1*x2*x3+x4*x5*x6+x7*x8*x9+x10*x11*x1"),
 )
-ROUTES = {"_substituted": "substitute", "_gathered": "gather"}
+# the restriction step; trees before the one-pivot step also gathered
+RESTRICT = ("_substituted", "_gathered")
 # the new_step functions at n = 8: catalog-n8's five quintic complements,
 # and five of its cubics
 NEW_STEP_COMPLEMENTS = ("f13", "f14", "f17", "f20", "f27")
@@ -122,11 +127,11 @@ def _timed(fn, key: str, into: dict):
 def stage_times(n: int, k: int, text: str) -> dict[str, float]:
     f = ANF.parse(text, n)
     r = int(f.degree())
-    out = dict.fromkeys(("scan_s", "substitute_s", "gather_s", "kernel_s"), 0.0)
-    out.update(substitute_rows=0, gather_rows=0)
-    saved = {name: getattr(degreedrop, name) for name in ROUTES}
-    for name, key in ROUTES.items():
-        setattr(degreedrop, name, _timed(saved[name], key, out))
+    out = dict.fromkeys(("scan_s", "restrict_s", "kernel_s"), 0.0)
+    out.update(restrict_rows=0)
+    saved = {name: getattr(degreedrop, name) for name in RESTRICT if hasattr(degreedrop, name)}
+    for name, fn in saved.items():
+        setattr(degreedrop, name, _timed(fn, "restrict", out))
     try:
         t0 = time.perf_counter()
         for _, _, rows in degreedrop._drop_chunks(f, k):
@@ -302,7 +307,7 @@ def main() -> int:
         samples = [stage_times(n, k, text) for _ in range(args.repeat + 1)][1:]
         stages[f"{n},{k}"] = {
             "function": text,
-            "rows": len(materialized_codim(n, k)[0]),
+            "rows": count_codim(n, k),
             **{key: [round(s[key], 5) for s in samples] for key in samples[0]},
         }
     print(json.dumps({
