@@ -298,12 +298,19 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 # -- symmetric ---------------------------------------------------------------
 
 
+# The most variables `symmetric` accepts: its verdict is a closed form, and
+# only --full-anf builds the ANF, so this keeps the printed normal short.
+MAX_SYMMETRIC_VARS = 4096
+
+
 def _cmd_symmetric(args: argparse.Namespace) -> int:
+    if args.n > MAX_SYMMETRIC_VARS:
+        raise DegstabError(f"symmetric needs n <= {MAX_SYMMETRIC_VARS}, got n={args.n}")
     verdict = special.symmetric_dd(args.n, args.r)
-    f = special.elementary_symmetric(args.n, args.r)
     if args.full_anf:
+        text = special.elementary_symmetric(args.n, args.r).to_text()
         with open(args.full_anf, "w", encoding="ascii") as fh:
-            fh.write(f.to_text() + "\n")
+            fh.write(text + "\n")
     normal_text = (
         "+".join(f"x{i}" for i in range(1, args.n + 1)) + "=0"
         if verdict.normal is not None else None

@@ -19,7 +19,8 @@ cost the fewest numpy calls. Chunk sizes change neither the order of the
 rows nor any result.
 
 The rows of co-dimension k come from those of co-dimension k - 1, one
-substitution per pivot (see subspaces._pivot_blocks for the order).
+substitution per pivot, in canonical order; a chunk carries the rank of its
+first space, and forms are decoded (subspaces.codim_unrank) only where read.
 
 * One pivot. Let U be a codim-(k-1) space, g = f|_U its ANF in U's m
   coordinates, and S = U ∩ {x_p = sum over c in a of x_c} a hyperplane of
@@ -125,14 +126,11 @@ from .errors import (
 from .subspaces import (
     AffineSubspace,
     LinearSubspace,
-    _CACHE_LIMIT,
-    _PIECE,
     _canonical_forms,
-    _pivot_blocks,
     _regroup,
     codim_rank,
+    codim_unrank,
     count_codim,
-    materialized_codim,
     restrict,
 )
 
@@ -195,40 +193,21 @@ def _chunk_rows(m: int, ramp: bool) -> Iterator[int]:
 
 
 def _drop_chunks(f: ANF, k: int, ramp: bool = False):
-    """Yield (forms, drop_flags, anf_rows) over all codim-k subspaces, in order.
+    """Yield (start, drop_flags, anf_rows) over all codim-k subspaces, in order.
 
-    `forms` is an int64 array of RREF annihilators, one row of k per
-    subspace. `anf_rows` holds the restrictions' ANF coefficients, one row
-    of 2**(n-k) per subspace. Chunks are sized by _chunk_rows; a ramped scan
-    whose whole level fits one full chunk reads it as that one chunk.
+    Row i of a chunk is the subspace of rank start + i (codim_unrank names
+    it), and its ANF row holds the restriction's 2**(n-k) coefficients.
+    Chunks are sized by _chunk_rows; a ramped scan whose whole level fits
+    one full chunk reads it as that one chunk.
     """
     if not 0 <= k <= f.n:
         raise EnumerationRangeError(f"co-dimension must lie in 0..n={f.n}, got {k}")
     r = _int_degree(f)
     ramp = ramp and count_codim(f.n, k) << (f.n - k) > _POINTS
-    pieces = _restriction_pieces(f, k, ramp)
-    for forms, rows in _regroup(pieces, _chunk_rows(f.n - k, ramp)):
-        yield forms, ~rows[:, _weight(f.n - k, r)].any(axis=1), rows
-
-
-def _restriction_pieces(f: ANF, k: int, ramp: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(forms, anf_rows) of f's codim-k restrictions in canonical order, in
-    pieces no longer than the chunks of _chunk_rows, so that an existence
-    query restricts few spaces beyond the chunk that ends it. The forms are
-    sliced from materialized_codim when [n k]_2 is cached, and read from the
-    _pivot_blocks pieces otherwise."""
-    if count_codim(f.n, k) <= _CACHE_LIMIT:
-        blocks = iter([materialized_codim(f.n, k)[0]])
-    else:
-        blocks = (forms for forms, _ in _pivot_blocks(f.n, k, _PIECE))
-    forms = np.empty((0, k), dtype=np.int64)
-    for rows in _restricted(f, k, 0, ramp):
-        while len(rows):
-            if not len(forms):
-                forms = next(blocks)
-            take = min(len(forms), len(rows))
-            yield forms[:take], rows[:take]
-            forms, rows = forms[take:], rows[take:]
+    start = 0
+    for rows in _regroup(_restricted(f, k, 0, ramp), _chunk_rows(f.n - k, ramp)):
+        yield start, ~rows[:, _weight(f.n - k, r)].any(axis=1), rows
+        start += len(rows)
 
 
 def _restricted(f: ANF, k: int, lo: int, ramp: bool) -> Iterator[np.ndarray]:
@@ -391,15 +370,15 @@ def _normal_kernel_dims(rows: np.ndarray, r: int) -> np.ndarray:
 
 
 def _lifted(f: ANF, k: int, ramp: bool = False):
-    """Yield (forms, drop_flags, drops_inside) over the codim-(k-1) spaces U,
-    chunked (ramped for existence queries, see _chunk_rows): drops_inside
+    """Yield (start, drop_flags, drops_inside) over the codim-(k-1) spaces U,
+    chunked as _drop_chunks (ramped for existence queries): drops_inside
     counts the degree-drop codim-k spaces inside each U.
     """
     if not 1 <= k <= f.n:
         raise EnumerationRangeError(f"co-dimension must lie in 1..n={f.n}, got {k}")
     r = _int_degree(f)
-    for forms, dd, rows in _drop_chunks(f, k - 1, ramp):
-        yield forms, dd, (1 << _normal_kernel_dims(rows, r)) - 1
+    for start, dd, rows in _drop_chunks(f, k - 1, ramp):
+        yield start, dd, (1 << _normal_kernel_dims(rows, r)) - 1
 
 
 def _lifted_count(total: int, k: int) -> int:
@@ -474,8 +453,8 @@ def restriction_degree(f: ANF, space: AffineSubspace) -> Degree:
 
 def enumerate_degree_drop(f: ANF, k: int) -> Iterator[LinearSubspace]:
     """Degree-drop linear subspaces of co-dimension k, canonical order."""
-    for forms, dd, _ in _drop_chunks(f, k):
-        for rows in forms[dd].tolist():
+    for start, dd, _ in _drop_chunks(f, k):
+        for rows in codim_unrank(f.n, k, start + np.flatnonzero(dd)).tolist():
             yield LinearSubspace(f.n, tuple(rows))
 
 
@@ -549,10 +528,10 @@ def profile(f: ANF, k_max: Optional[int] = None) -> DegreeDropProfile:
     for k in range(1, k_max + 1):
         parts = []
         total = 0
-        for forms, dd, c in _lifted(f, k):
-            parts.append(forms[dd])
+        for start, dd, c in _lifted(f, k):
+            parts.append(start + np.flatnonzero(dd))
             total += int(c.sum())
-        drops = np.concatenate(parts)
+        drops = codim_unrank(f.n, k - 1, np.concatenate(parts))
         if rows and len(drops) != rows[-1].count:
             raise InvariantViolationError(
                 f"the codim-{k - 1} scan finds {len(drops)} drops, the lift"
@@ -749,7 +728,8 @@ def check_dd_fast_duality(f: ANF, k_max: int = 1, threads: int = 1) -> DualityRe
     cfast = Span(f.n, fast_point_basis(f.n, comp.monomials()))
     mismatches = [] if normals == cfast else [(1, (a,)) for a in sorted(normals.points ^ cfast.points)]
     for k in range(2, k_max + 1):
-        for forms, dd, _ in _drop_chunks(f, k):
+        for start, dd, _ in _drop_chunks(f, k):
+            forms = codim_unrank(f.n, k, start + np.arange(len(dd)))
             fast = _is_fast(comp.truth_table(), forms.astype(np.uint32), f.n - r)
             mismatches.extend((k, tuple(rows)) for rows in forms[fast != dd].tolist())
     return DualityReport(f.n, r, k_max, normals, cfast, tuple(mismatches))

@@ -12,17 +12,17 @@ numpy block by block. A pivot block holds the RREF forms with one pivot
 combination; blocks come in lexicographic order of the combinations. Inside
 a block, row i has a free slot at every non-pivot column above its pivot,
 and a form is named by its free-bit integer g: bit j of g fills the j-th
-slot, slots taken row-major with columns ascending. The block's forms and
-solution bases are built at once by scattering the bits of arange(2**slots)
-into the slots, and blocks longer than the chunk size are split.
+slot, slots taken row-major with columns ascending. The block's forms are
+built at once by scattering the bits of arange(2**slots) into the slots,
+and blocks longer than the chunk size are split.
 
-This order is rank order: codim_rank gives each subspace its position, the
-start of its pivot block, read by pivot mask from a cached block table
-(_block_rows), plus its free-bit integer. The profile's `new` step names
-subspaces by rank. The order is also lexicographic in the pivots, so the
-spaces whose pivots all exceed p are a suffix of it, the last [n-p-1 k]_2;
-the scan engine builds each co-dimension's restrictions from those
-suffixes of the one below.
+A subspace is named by its position in this order: codim_rank computes it
+from the forms and codim_unrank decodes forms from it, both from one small
+cached table (_rank_table). So a scan carries positions and builds forms
+only for the spaces it reports. The order is also lexicographic in the
+pivots, so the spaces whose pivots all exceed p are a suffix of it, the
+last [n-p-1 k]_2; the scan engine builds each co-dimension's restrictions
+from those suffixes of the one below.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -212,7 +212,7 @@ def indicator(space: AffineSubspace) -> ANF:
 
 # -- enumeration -----------------------------------------------------------
 
-# Solution bases are uint32 point masks.
+# The points of an enumerated space are uint32 masks (AffineSubspace.points).
 MAX_ENUM_VARS = 32
 _INT64_MAX = (1 << 63) - 1
 
@@ -230,84 +230,45 @@ def _check_codim(n: int, k: int) -> None:
         raise EnumerationRangeError(f"co-dimension must lie in 0..n={n}, got {k}")
 
 
-# Pivot blocks are built in pieces of at least this many rows, so that tiny
-# chunks (one row per chunk at m >= 19 in the scan engine) are cut from a
-# shared piece instead of each paying some twenty numpy calls. A piece of
-# forms and bases takes at most 1 MB.
+# Pivot blocks are built in pieces of at least this many rows, so that the
+# chunks of a small chunk_size are cut from a shared piece instead of each
+# paying some twenty numpy calls. A piece of forms takes at most 1 MB.
 _PIECE = 4096
 
 
-def _pivot_blocks(n: int, k: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(forms, bases) of every codim-k subspace in canonical order, one pivot
-    block at a time, blocks longer than size split into pieces.
+def _pivot_blocks(n: int, k: int, size: int) -> Iterator[np.ndarray]:
+    """The RREF forms of every codim-k subspace in canonical order, one
+    pivot block at a time, blocks longer than size split into pieces.
 
     A pivot block holds the RREF forms with one pivot combination: row i is
     1 << pivots[i] plus free bits at the non-pivot columns above its pivot.
     Free-bit integer g sets those slots, bit j of g on the j-th slot taken
     row-major with columns ascending, so the block's rows run over
-    g = 0 .. 2**slots - 1. The basis vector of free column c is 1 << c plus
-    1 << pivots[i] for every row i with a free bit at c.
+    g = 0 .. 2**slots - 1.
     """
     for pivots in itertools.combinations(range(n), k):
-        free = [c for c in range(n) if c not in pivots]
-        slots = [(i, c) for i, p in enumerate(pivots) for c in free if c > p]
+        slots = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
         for start in range(0, 1 << len(slots), size):
             g = np.arange(start, min(1 << len(slots), start + size), dtype=np.int64)
             forms = np.empty((k, len(g)), dtype=np.int64)
             forms[:] = np.array([1 << p for p in pivots], dtype=np.int64)[:, None]
-            bases = np.empty((n - k, len(g)), dtype=np.int64)
-            bases[:] = np.array([1 << c for c in free], dtype=np.int64)[:, None]
             for j, (i, c) in enumerate(slots):
-                bit = (g >> j) & 1
-                forms[i] |= bit << c
-                bases[free.index(c)] |= bit << pivots[i]
-            yield forms.T, bases.T.astype(np.uint32)
+                forms[i] |= ((g >> j) & 1) << c
+            yield forms.T
 
 
-class _Blocks(NamedTuple):
-    """The pivot blocks in canonical order: pivot masks, the order that sorts
-    them, and start ranks, int64 where [n k]_2 fits it."""
-
-    masks: np.ndarray
-    by_mask: np.ndarray
-    starts: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _block_rows(n: int, k: int) -> _Blocks:
-    """The pivot block table of co-dimension k, which codim_rank reads. A
-    block has 2**slots rows: row i with pivot q has n - k + i - q free
-    slots, so a block has top - sum(pivots) of them."""
-    top = k * (n - k) + k * (k - 1) // 2
-    combos = itertools.combinations(range(n), k)
-    masks, rows = zip(*((sum(1 << p for p in c), 1 << (top - sum(c))) for c in combos))
-    masks = np.array(masks, dtype=np.int64)
-    starts = list(itertools.accumulate(rows, initial=0))[:-1]
-    dtype = np.int64 if count_codim(n, k) <= _INT64_MAX else object
-    return _Blocks(masks, np.argsort(masks), np.array(starts, dtype=dtype))
-
-
-def _chunks(n: int, k: int, chunk_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The pivot blocks regrouped into chunks of exactly chunk_size rows,
-    the last one shorter."""
-    blocks = _pivot_blocks(n, k, max(chunk_size, _PIECE))
-    return _regroup(blocks, itertools.repeat(chunk_size))
-
-
-def _regroup(
-    pieces: Iterable[tuple[np.ndarray, np.ndarray]], sizes: Iterator[int]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(forms, bases) pieces, in order, regrouped into C-contiguous chunks
-    whose lengths are read from sizes in turn, the last one shorter. A chunk
-    that lies in one C-contiguous piece is a view of it."""
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
+def _regroup(pieces: Iterable[np.ndarray], sizes: Iterator[int]) -> Iterator[np.ndarray]:
+    """Arrays, in order, regrouped along their first axis into C-contiguous
+    chunks whose lengths are read from sizes in turn, the last one shorter.
+    A chunk that lies in one C-contiguous piece is a view of it."""
+    parts: list[np.ndarray] = []
     have = 0
     size = next(sizes)
-    for forms, bases in pieces:
-        while len(forms):
-            take = min(len(forms), size - have)
-            parts.append((forms[:take], bases[:take]))
-            forms, bases = forms[take:], bases[take:]
+    for piece in pieces:
+        while len(piece):
+            take = min(len(piece), size - have)
+            parts.append(piece[:take])
+            piece = piece[take:]
             have += take
             if have == size:
                 yield _join(parts)
@@ -316,65 +277,74 @@ def _regroup(
         yield _join(parts)
 
 
-def _join(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    if len(parts) == 1:
-        forms, bases = parts[0]
-        return np.ascontiguousarray(forms), np.ascontiguousarray(bases)
-    forms = np.concatenate([f for f, _ in parts])
-    bases = np.concatenate([b for _, b in parts])
-    return forms, bases
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    return np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
 
 
 def enumerate_codim(n: int, k: int) -> Iterator[LinearSubspace]:
     """All linear subspaces of co-dimension k, canonical order; [n k]_2 of
     them. Bad arguments raise here, not on first next()."""
     chunks = iter_codim_chunks(n, k)
-    return (LinearSubspace(n, tuple(row)) for forms, _ in chunks for row in forms.tolist())
+    return (LinearSubspace(n, tuple(row)) for forms in chunks for row in forms.tolist())
 
 
-def iter_codim_chunks(
-    n: int, k: int, chunk_size: int = 8192
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream (forms, solution bases) over all codim-k subspaces, chunked.
+def iter_codim_chunks(n: int, k: int, chunk_size: int = 8192) -> Iterator[np.ndarray]:
+    """Stream the RREF forms of all codim-k subspaces, chunked.
 
-    Yields a (len, k) int64 array of RREF forms, one row per subspace,
-    together with a (len, n-k) uint32 array of the matching canonical
-    solution bases; every chunk but the last has chunk_size rows. Order
-    matches enumerate_codim. Bad arguments raise here, not on first next().
+    Yields (len, k) int64 arrays, one row per subspace; every chunk but the
+    last has chunk_size rows. Order matches enumerate_codim. Bad arguments
+    raise here, not on first next().
     """
     _check_codim(n, k)
     if chunk_size < 1:
         raise EnumerationRangeError(f"chunk_size must be at least 1, got {chunk_size}")
-    return _chunks(n, k, chunk_size)
+    blocks = _pivot_blocks(n, k, max(chunk_size, _PIECE))
+    return _regroup(blocks, itertools.repeat(chunk_size))
 
 
 _CACHE_LIMIT = 250_000
 
 
 @lru_cache(maxsize=16)
-def materialized_codim(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached full enumeration for small [n k]_2, as read-only (forms, bases)
-    arrays shaped like one iter_codim_chunks chunk; used by the scan engine."""
+def materialized_codim(n: int, k: int) -> np.ndarray:
+    """Cached full enumeration for small [n k]_2, as one read-only array of
+    forms shaped like an iter_codim_chunks chunk."""
     _check_codim(n, k)
     if count_codim(n, k) > _CACHE_LIMIT:
         raise EnumerationRangeError(
             f"{count_codim(n, k)} subspaces of co-dimension {k} in F_2^{n} exceed"
             f" the cache limit {_CACHE_LIMIT}; stream them with iter_codim_chunks"
         )
-    forms, bases = next(_chunks(n, k, count_codim(n, k)))
+    forms = next(iter_codim_chunks(n, k, count_codim(n, k)))
     forms.setflags(write=False)
-    bases.setflags(write=False)
-    return forms, bases
+    return forms
+
+
+@lru_cache(maxsize=None)
+def _rank_table(n: int, k: int) -> np.ndarray:
+    """off[b, c, p], b <= k and c, p <= n: the number of codim-b subspaces on
+    the columns >= c whose first pivot lies below p. A first pivot q leaves
+    n - b - q free slots in its row and a codim-(b-1) space above it, so
+    that is the sum of 2**(n-b-q) [n-q-1 b-1]_2 over c <= q < p. Entries
+    are clipped at 2**63 - 1, which no position below it reaches."""
+    off = np.zeros((k + 1, n + 1, n + 1), dtype=np.int64)
+    for b in range(1, k + 1):
+        first = [q <= n - b and count_codim(n - q - 1, b - 1) << (n - b - q) for q in range(n)]
+        ends = list(itertools.accumulate(first, initial=0))
+        for c in range(n + 1):
+            off[b, c, c:] = [min(end - ends[c], _INT64_MAX) for end in ends[c:]]
+    off.setflags(write=False)
+    return off
 
 
 def codim_rank(n: int, forms) -> np.ndarray:
     """Position of each codim-k subspace in the canonical order, vectorized.
 
     `forms` has shape (..., k): the RREF annihilator rows of each subspace,
-    in any row order. The rank is the start of the block with the forms'
-    pivot mask, looked up in the _block_rows table, plus their free-bit
-    integer, so codim_rank(n, chunk forms) over a whole enumeration is
-    0, 1, 2, ...
+    in any row order. The order is lexicographic in the pivots p_i, then by
+    the free-bit integer, row 0's slots lowest, so with g_i row i's free
+    bits, S_i the slots of the rows before it and p_-1 = -1, the rank is the
+    sum over i of (off[k-i, p_(i-1) + 1, p_i] + g_i) * 2**S_i (_rank_table).
     Returns an int64 array of shape (...). Ranks run below [n k]_2; a
     co-dimension whose [n k]_2 does not fit int64 raises.
     """
@@ -399,21 +369,48 @@ def codim_rank(n: int, forms) -> np.ndarray:
     pivot_mask = np.bitwise_or.reduce(low, axis=1)
     if ((flat & pivot_mask[:, None]) != low).any() or (np.bitwise_count(pivot_mask) != k).any():
         raise EnumerationRangeError("forms are not the RREF annihilator of a codim-k subspace")
-    blocks = _block_rows(n, k)
-    at = np.searchsorted(blocks.masks, pivot_mask, sorter=blocks.by_mask)
-    rank = blocks.starts[blocks.by_mask[at]]
-    shift = np.zeros(len(flat), dtype=np.int64)
+    off = _rank_table(n, k)
+    rank = np.zeros(len(flat), dtype=np.int64)
+    shift = lo = 0
     for i in range(k):
         p = piv[:, i]
-        # free bits of row i: the bits above its pivot, less the (zero)
-        # columns of the later pivots, removed from the top down
+        # g_i: the bits above p_i, less the (zero) columns of the later
+        # pivots, removed from the top down
         v = flat[:, i] >> (p + 1)
         for j in range(k - 1, i, -1):
             below = (np.int64(1) << (piv[:, j] - p - 1)) - 1
             v = (v & below) | ((v >> 1) & ~below)
-        rank += v << shift
+        rank += (off[k - i].take(lo * (n + 1) + p) + v) << shift
         shift += n - k + i - p
+        lo = p + 1
     return rank.reshape(forms.shape[:-1])
+
+
+def codim_unrank(n: int, k: int, ranks) -> np.ndarray:
+    """The RREF forms at positions `ranks` of the canonical codim-k order,
+    as an int64 array of shape ranks.shape + (k,): codim_rank's inverse,
+    peeling off its terms row by row. Positions run below [n k]_2 and
+    2**63 - 1, so the first spaces past the int64 limit decode too."""
+    _check_codim(n, k)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    flat = ranks.reshape(-1)
+    end = min(count_codim(n, k), _INT64_MAX)
+    if ((flat < 0) | (flat >= end)).any():
+        raise EnumerationRangeError(f"ranks of codim-{k} subspaces of F_2^{n} lie in 0..{end - 1}")
+    off = _rank_table(n, k)
+    forms = np.empty((len(flat), k), dtype=np.int64)
+    rest, lo = flat.copy(), 0
+    for i in range(k):
+        p = np.count_nonzero(off[k - i, lo] <= rest[:, None], axis=1) - 1
+        rest -= off[k - i].take(lo * (n + 1) + p)
+        # a zero column at p in the rows before, codim_rank's removal undone
+        below = (np.int64(1) << p[:, None]) - 1
+        forms[:, :i] = (forms[:, :i] & below) | ((forms[:, :i] & ~below) << 1)
+        slots = n - k + i - p
+        forms[:, i] = (np.int64(1) << p) | ((rest & ((np.int64(1) << slots) - 1)) << (p + 1))
+        rest >>= slots
+        lo = p + 1
+    return forms.reshape(ranks.shape + (k,))
 
 
 # -- text form ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import degstab
-from degstab import catalog
+from degstab import catalog, cli
 from degstab.catalog import load_catalog
 from degstab.cli import MAX_COUNT_DEGREE, MAX_COUNT_MONOMIALS, main
 
@@ -273,6 +273,21 @@ def test_symmetric_json_and_anf_file(tmp_path, capsys):
                                "normal": None}
     text = path.read_text().strip()
     assert text.count("+") == 69  # all 70 degree-4 monomials
+
+
+def test_symmetric_builds_no_anf_for_the_verdict(capsys):
+    # the closed form holds past the 24-variable truth-table limit; only
+    # --full-anf needs the ANF
+    code, out, _ = run(capsys, ["symmetric", "--n", "30", "--r", "3"])
+    assert code == 0
+    assert out.splitlines() == [
+        "symmetric functions of degree 3 in 30 variables have 1 degree-drop hyperplane(s)",
+        "normal: " + "+".join(f"x{i}" for i in range(1, 31)) + "=0",
+    ]
+    n = cli.MAX_SYMMETRIC_VARS + 1
+    code, out, err = run(capsys, ["symmetric", "--n", str(n), "--r", "3"])
+    assert code == 2 and out == ""
+    assert f"n <= {cli.MAX_SYMMETRIC_VARS}" in err
 
 
 def test_symmetric_out_of_range(capsys):

@@ -37,7 +37,7 @@ from degstab.errors import (
     ZeroFunctionError,
 )
 from degstab.report import build_report
-from degstab.subspaces import LinearSubspace, count_codim, materialized_codim, parse_subspace
+from degstab.subspaces import LinearSubspace, codim_unrank, count_codim, materialized_codim
 from degstab.f2 import random_invertible, rref_rows
 from helpers import random_degree, random_homogeneous, random_nonconstant, sparse_homogeneous
 
@@ -289,34 +289,38 @@ def test_existence_agrees_with_the_count(monkeypatch):
             assert has_degree_drop_space(f, k) == (degree_drop_count(f, k) > 0), (f, k)
 
 
+def _chunk_forms(f, k, ramp=False):
+    """The forms of each _drop_chunks chunk, decoded from its start rank."""
+    return [
+        codim_unrank(f.n, k, start + np.arange(len(dd)))
+        for start, dd, _ in degreedrop._drop_chunks(f, k, ramp)
+    ]
+
+
 def test_ramped_chunks_concatenate_to_the_enumeration(monkeypatch):
     f = ANF.parse("123+456+147", 7)
-    cached = degreedrop._CACHE_LIMIT
     for points in (1 << 8, 1 << 11):
         monkeypatch.setattr(degreedrop, "_POINTS", points)
         for k in (1, 2, 3):
-            full = [len(forms) for forms, _, _ in degreedrop._drop_chunks(f, k)]
+            full = [len(forms) for forms in _chunk_forms(f, k)]
             assert full[:-1] == [full[0]] * (len(full) - 1)
             # doubling from _POINTS >> _RAMP points, one row at least
             steps = degreedrop._RAMP
             ramp = [max(1, (points >> (steps - i)) >> (f.n - k)) for i in range(steps + 1)]
-            for limit in (cached, 0):  # sliced from the cache, then streamed
-                monkeypatch.setattr(degreedrop, "_CACHE_LIMIT", limit)
-                chunks = [forms for forms, _, _ in degreedrop._drop_chunks(f, k, True)]
-                sizes = [len(forms) for forms in chunks]
-                assert np.array_equal(np.concatenate(chunks), materialized_codim(f.n, k)[0])
-                assert sizes[: steps + 1] == ramp[: len(sizes)], (points, k, sizes)
-                assert all(size == full[0] for size in sizes[steps + 1 : -1]), (points, k, sizes)
-            monkeypatch.setattr(degreedrop, "_CACHE_LIMIT", cached)
+            chunks = _chunk_forms(f, k, True)
+            sizes = [len(forms) for forms in chunks]
+            assert np.array_equal(np.concatenate(chunks), materialized_codim(f.n, k))
+            assert sizes[: steps + 1] == ramp[: len(sizes)], (points, k, sizes)
+            assert all(size == full[0] for size in sizes[steps + 1 : -1]), (points, k, sizes)
     # at 2**8 points and codim 2 the ramp crosses all four of its boundaries
     monkeypatch.setattr(degreedrop, "_POINTS", 1 << 8)
-    sizes = [len(forms) for forms, _, _ in degreedrop._drop_chunks(f, 2, True)]
+    sizes = [len(dd) for _, dd, _ in degreedrop._drop_chunks(f, 2, True)]
     assert sizes[:6] == [1, 1, 2, 4, 8, 8]
     # a level that fits one full chunk is read as that chunk, unramped: the
     # 511 hyperplanes at n = 9 take 130,816 of the 2**19 points
     monkeypatch.undo()
     f = ANF.parse("123+456+789+147+258", 9)
-    assert [len(forms) for forms, _, _ in degreedrop._drop_chunks(f, 1, True)] == [511]
+    assert [len(dd) for _, dd, _ in degreedrop._drop_chunks(f, 1, True)] == [511]
 
 
 def test_existence_reaches_a_drop_in_the_last_rows(monkeypatch):
@@ -328,7 +332,7 @@ def test_existence_reaches_a_drop_in_the_last_rows(monkeypatch):
     inside = np.concatenate([c for _, _, c in degreedrop._lifted(f, 2, ramp=True)])
     assert np.flatnonzero(inside).tolist() == [252, 253, 254] and len(inside) == 255
     # ramped chunks of 1, 1, 2, 4 rows, then 8 each: the last holds rows 248..254
-    assert [len(forms) for forms, _, _ in degreedrop._drop_chunks(f, 1, True)][-1] == 7
+    assert [len(dd) for _, dd, _ in degreedrop._drop_chunks(f, 1, True)][-1] == 7
     assert not has_degree_drop_space(f, 1) and k_membership(f, 1)
     assert has_degree_drop_space(f, 2) and not k_membership(f, 2)
     assert deg_stab(f) == 1 and degree_drop_count(f, 2) == 1
@@ -336,8 +340,9 @@ def test_existence_reaches_a_drop_in_the_last_rows(monkeypatch):
 
 
 def test_existence_scans_past_the_int64_rank_limit():
-    # [20 4]_2 exceeds 2**63, so the block table's starts there are Python
-    # ints; x1 = x2 = x3 = x4 = 0, the first codim-4 space, already drops
+    # [20 4]_2 exceeds 2**63, so codim_rank refuses that co-dimension, but
+    # the scan counts positions from 0 and codim_unrank decodes the first
+    # ones; x1 = x2 = x3 = x4 = 0, the first codim-4 space, already drops
     f = ANF.from_monomials(20, [0b11])
     assert count_codim(20, 4) > 2**63
     assert has_degree_drop_space(f, 5)
@@ -345,9 +350,11 @@ def test_existence_scans_past_the_int64_rank_limit():
 
 
 def _scan(f, k, ramp=False):
-    """forms, drop flags and ANF rows of _drop_chunks, chunks concatenated."""
+    """forms, drop flags and ANF rows of _drop_chunks, chunks concatenated;
+    the forms decoded from each chunk's start rank."""
     chunks = list(degreedrop._drop_chunks(f, k, ramp))
-    return tuple(np.concatenate([c[i] for c in chunks]) for i in range(3))
+    forms = [codim_unrank(f.n, k, start + np.arange(len(dd))) for start, dd, _ in chunks]
+    return (np.concatenate(forms), *(np.concatenate([c[i] for c in chunks]) for i in (1, 2)))
 
 
 def _oracle_scan(f, k):
@@ -366,16 +373,13 @@ def _assert_scans_equal(got, want, where):
 
 
 def test_restriction_routes_match_the_truth_table_oracle(monkeypatch):
-    # every n <= 7 and k, read whole and ramped, with the forms from the
-    # cache and streamed in pieces of 16 rows. At 2**9 points some parent
+    # every n <= 7 and k, read whole and ramped. At 2**9 points some parent
     # levels fit and are held, the others are streamed again per pivot, and
     # the one-pivot step cuts some parents' hyperplanes into pieces that fix
     # their high free bits (ramped pieces start at 2**5 points)
     rng = random.Random(21)
     points = 1 << 9
     monkeypatch.setattr(degreedrop, "_POINTS", points)
-    monkeypatch.setattr(degreedrop, "_PIECE", 16)
-    cached = degreedrop._CACHE_LIMIT
     held = set()
     for n in range(1, 8):
         f = random_nonconstant(rng, n)
@@ -384,9 +388,7 @@ def test_restriction_routes_match_the_truth_table_oracle(monkeypatch):
             if k:
                 held.add(count_codim(n, k - 1) << (n - k + 1) <= points)
             for ramp in (False, True):
-                for limit in (cached, 0):
-                    monkeypatch.setattr(degreedrop, "_CACHE_LIMIT", limit)
-                    _assert_scans_equal(_scan(f, k, ramp), want, (n, k, ramp, limit))
+                _assert_scans_equal(_scan(f, k, ramp), want, (n, k, ramp))
     assert held == {True, False}
 
 
@@ -654,11 +656,16 @@ def test_spans_build_no_point_set_until_read():
         assert peak < 8 << 20, peak
 
 
-def test_duality_codim_two():
+def test_duality_codim_two(monkeypatch):
     rng = random.Random(11)
     for _ in range(10):
         f = random_homogeneous(rng, 6, rng.randint(2, 4))
         assert check_dd_fast_duality(f, k_max=2).ok
+        # chunks of 16 codim-2 and 8 codim-3 rows, each decoded from its
+        # own start rank
+        monkeypatch.setattr(degreedrop, "_POINTS", 1 << 8)
+        assert check_dd_fast_duality(f, k_max=3).ok
+        monkeypatch.undo()
 
 
 def test_duality_requires_homogeneous():

@@ -28,7 +28,7 @@ from degstab import (
 )
 from degstab.counting import gaussian_binomial
 from degstab.f2 import kernel_basis_of_rows, random_invertible, rank_of_rows, rref_rows
-from degstab.subspaces import _CACHE_LIMIT, codim_rank, count_codim
+from degstab.subspaces import _CACHE_LIMIT, codim_rank, codim_unrank, count_codim
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -95,8 +95,8 @@ def _scanned_profile(g, k_max):
     rows, prev = [], set()
     for k in range(1, k_max + 1):
         drops = {
-            oracles.span_set(forms[i])
-            for forms, dd, _ in degreedrop._drop_chunks(g, k)
+            oracles.span_set(codim_unrank(g.n, k, start + i))
+            for start, dd, _ in degreedrop._drop_chunks(g, k)
             for i in np.flatnonzero(dd)
         }
         rows.append((k, len(drops), oracles.new_count(drops, prev)))
@@ -251,3 +251,17 @@ def test_codim_rank_batches_and_separates_spaces(case):
     for a, ra in zip(spaces, ranks.tolist()):
         for b, rb in zip(spaces, ranks.tolist()):
             assert (ra == rb) == (a == b)
+
+
+@PROPERTY
+@given(st.data())
+def test_codim_unrank_round_trips(data):
+    n = data.draw(st.integers(0, 32))
+    k = data.draw(st.sampled_from([k for k in range(n + 1) if count_codim(n, k) < 2**63]))
+    ranks = data.draw(st.lists(st.integers(0, count_codim(n, k) - 1), min_size=1, max_size=8))
+    forms = codim_unrank(n, k, ranks)
+    assert forms.shape == (len(ranks), k)
+    assert codim_rank(n, forms).tolist() == ranks
+    # the forms come back reduced: the RREF of their own rows
+    for rows in forms.tolist():
+        assert tuple(rows) == tuple(rref_rows(rows, n)[0][:k])

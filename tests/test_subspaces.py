@@ -9,7 +9,6 @@ import pytest
 
 import oracles
 from degstab import ANF, count_codim, enumerate_codim, format_subspace, parse_subspace, restrict
-from degstab.bits import xor_points
 from degstab.errors import (
     AnfSyntaxError,
     DegstabError,
@@ -21,7 +20,10 @@ from degstab.errors import (
 from degstab.subspaces import (
     AffineSubspace,
     LinearSubspace,
+    _CACHE_LIMIT,
+    _rank_table,
     codim_rank,
+    codim_unrank,
     contains,
     indicator,
     iter_codim_chunks,
@@ -131,35 +133,35 @@ def test_enumerate_codim_matches_oracle_spans():
 def test_iter_codim_chunks_matches_enumeration():
     n, k = 6, 2
     flat_forms = []
-    flat_points = []
-    for forms, bases in iter_codim_chunks(n, k, chunk_size=100):
-        assert forms.shape == (len(bases), k)
-        assert bases.shape == (len(forms), n - k)
+    for forms in iter_codim_chunks(n, k, chunk_size=100):
+        assert forms.shape == (len(forms), k)
         flat_forms.extend(map(tuple, forms.tolist()))
-        flat_points.extend(xor_points(bases).tolist())  # one row per subspace
     spaces = list(enumerate_codim(n, k))
     assert flat_forms == [v.forms for v in spaces]
-    assert flat_points == [v.points().tolist() for v in spaces]
 
 
 # every (n, k) with n <= 7: 0 <= k <= n, the smallest sizes included
 ORDER_SIZES = [(n, k) for n in range(8) for k in range(n + 1)]
 
 
-def _rows(forms, bases):
-    assert forms.dtype == np.int64 and bases.dtype == np.uint32
-    return list(zip(map(tuple, forms.tolist()), bases.tolist()))
+def _rows(forms):
+    assert forms.dtype == np.int64
+    return list(map(tuple, forms.tolist()))
+
+
+def _oracle_forms(n, k):
+    return [rows for rows, _ in oracles.codim_forms_and_bases(n, k)]
 
 
 def test_iter_codim_chunks_matches_the_order_oracle():
     # chunk sizes 1, 7 and 100 split the pivot blocks at every offset
     for n, k in ORDER_SIZES:
-        expected = oracles.codim_forms_and_bases(n, k)
+        expected = _oracle_forms(n, k)
         for chunk_size in (1, 7, 100):
             got, sizes = [], []
-            for forms, bases in iter_codim_chunks(n, k, chunk_size):
-                assert forms.shape == (len(bases), k) and bases.shape == (len(forms), n - k)
-                got += _rows(forms, bases)
+            for forms in iter_codim_chunks(n, k, chunk_size):
+                assert forms.shape == (len(forms), k)
+                got += _rows(forms)
                 sizes.append(len(forms))
             assert got == expected, (n, k, chunk_size)
             assert set(sizes[:-1]) <= {chunk_size} and 0 < sizes[-1] <= chunk_size
@@ -167,9 +169,9 @@ def test_iter_codim_chunks_matches_the_order_oracle():
 
 def test_materialized_codim_matches_the_order_oracle():
     for n, k in ORDER_SIZES:
-        forms, bases = materialized_codim(n, k)
-        assert not forms.flags.writeable and not bases.flags.writeable
-        assert _rows(forms, bases) == oracles.codim_forms_and_bases(n, k), (n, k)
+        forms = materialized_codim(n, k)
+        assert not forms.flags.writeable
+        assert _rows(forms) == _oracle_forms(n, k), (n, k)
 
 
 def test_enumerate_codim_matches_the_order_oracle():
@@ -182,11 +184,11 @@ def test_enumerate_codim_matches_the_order_oracle():
 
 def test_codim_rank_is_the_enumeration_index():
     for n, k in ORDER_SIZES:
-        forms = [rows for rows, _ in oracles.codim_forms_and_bases(n, k)]
+        forms = _oracle_forms(n, k)
         ranks = codim_rank(n, np.array(forms, dtype=np.int64).reshape(len(forms), k))
         assert ranks.tolist() == list(range(count_codim(n, k))), (n, k)
     for n, k in ((9, 2), (9, 7), (10, 2)):
-        forms, _ = materialized_codim(n, k)
+        forms = materialized_codim(n, k)
         assert (codim_rank(n, forms) == np.arange(count_codim(n, k))).all(), (n, k)
     assert codim_rank(5, (0b00011, 0b01100)).shape == ()
 
@@ -222,7 +224,8 @@ def test_codim_rank_rejects_what_it_cannot_rank():
 
 
 def test_codim_rank_checks_the_int64_limit_before_building_a_table():
-    # [32 16]_2 is about 2**256; its block table would hold C(32, 16) rows
+    # [32 16]_2 is about 2**256; the rank raises before it reads a table
+    _rank_table.cache_clear()
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationRangeError, match=r"2\*\*63 - 1"):
@@ -233,10 +236,51 @@ def test_codim_rank_checks_the_int64_limit_before_building_a_table():
     assert peak < 1 << 16
 
 
+def test_codim_unrank_inverts_the_enumeration():
+    # every n <= 9 and every k whose [n k]_2 the cache holds
+    for n in range(10):
+        for k in range(n + 1):
+            if count_codim(n, k) <= _CACHE_LIMIT:
+                ranks = np.arange(count_codim(n, k))
+                assert np.array_equal(codim_unrank(n, k, ranks), materialized_codim(n, k)), (n, k)
+    assert codim_unrank(5, 2, 7).shape == (2,)
+    assert codim_unrank(5, 2, [[0, 1]]).shape == (1, 2, 2)
+
+
+def test_codim_unrank_decodes_past_the_int64_rank_limit():
+    # [n k]_2 exceeds 2**63 here; positions below 2**63 - 1 still decode,
+    # the first ones as the enumeration's first chunk
+    for n, k in ((20, 4), (24, 12), (32, 16)):
+        first = next(iter_codim_chunks(n, k, 64))
+        assert np.array_equal(codim_unrank(n, k, range(64)), first), (n, k)
+    last = 2**63 - 2
+    assert oracles.codim_rank(20, codim_unrank(20, 4, last).tolist()) == last
+    for bad in (-1, 2**63 - 1):
+        with pytest.raises(EnumerationRangeError, match=r"0\.\."):
+            codim_unrank(20, 4, [bad])
+    with pytest.raises(EnumerationRangeError, match=r"0\.\.14"):
+        codim_unrank(4, 1, [15])  # [4 1]_2 = 15
+    with pytest.raises(EnumerationRangeError, match=r"0\.\.n=4"):
+        codim_unrank(4, 5, [0])
+
+
+def test_codim_unrank_keeps_a_small_table():
+    # the table has (k+1)(n+1)**2 entries; one row per pivot combination
+    # would be C(32, 16) = 601,080,390 rows
+    _rank_table.cache_clear()
+    tracemalloc.start()
+    try:
+        codim_unrank(32, 16, range(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_materialized_cache_consistent():
-    forms, bases = materialized_codim(5, 2)
-    assert len(forms) == count_codim(5, 2) == bases.shape[0]
-    again_forms, again_bases = materialized_codim(5, 2)
+    forms = materialized_codim(5, 2)
+    assert forms.shape == (count_codim(5, 2), 2)
+    again_forms = materialized_codim(5, 2)
     assert again_forms is forms  # cached object
     with pytest.raises(ValueError, match="cache limit"):
         materialized_codim(9, 3)  # 788,035 subspaces

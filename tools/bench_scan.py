@@ -21,7 +21,8 @@ It prints one JSON object with six keys:
                           each substitution fault in fresh pages)
   exits   for each deg_stab item of perfbench's stream-n9 workload at --seed,
           the codim-(k-1) rows and chunks its existence scans reduce, summed
-          over k, read by a tap on degreedrop._drop_chunks
+          over k, read by a tap on degreedrop._drop_chunks (rows counted
+          by each chunk's drop flags, which every tree yields second)
   kernels seconds per call of the mask-level kernels, one sample per
           --repeat (after one warm-up pass), each the mean over the inputs:
             hyperplane_normal_basis, r_k_1 .. r_k_3, complement
@@ -40,8 +41,10 @@ It prints one JSON object with six keys:
   new_step  profile's `new` step over the ten NEW_STEP_* functions, one
           sample per --repeat (after one warm-up pass): the seconds of a
           pass of degreedrop.profile(f, 3) over all ten (pass_s), of the
-          degreedrop._child_count calls inside it (child_count_s) and of
-          the subspaces.codim_rank calls inside those (codim_rank_s)
+          degreedrop._child_count calls inside it (child_count_s), of
+          the subspaces.codim_rank calls inside those (codim_rank_s) and,
+          in trees that decode a scan's drops by rank, of the
+          subspaces.codim_unrank calls (codim_unrank_s)
   spaces  for N in SPACE_VARS and each call in SPACE_CALLS, one sample per
           --repeat: wall_s and peak_rss_mb as for analyze, of a fresh
           interpreter that imports degstab, builds x1 and x1*...*xN, and
@@ -50,9 +53,9 @@ It prints one JSON object with six keys:
 
 The stages call private scan functions that the tree's degreedrop module has
 had since the substitution route (08695fa), new_step rebinds two it has had
-since subspaces were ranked (c01b6a0), the kernels and spaces call only
-public functions, and analyze only the CLI, so one copy of this file
-measures those older trees too.
+since subspaces were ranked (c01b6a0) and codim_unrank where it exists, the
+kernels and spaces call only public functions, and analyze only the CLI,
+so one copy of this file measures those older trees too.
 """
 
 from __future__ import annotations
@@ -160,19 +163,25 @@ def new_step_times(repeat: int) -> dict[str, list[float]]:
     funcs = [representative(c).complement_anf() for c in NEW_STEP_COMPLEMENTS]
     funcs += [representative(c).anf() for c in NEW_STEP_CUBICS]
     spent = {}
-    saved = degreedrop._child_count, degreedrop.codim_rank
-    degreedrop._child_count = _clocked(saved[0], "child_count_s", spent)
-    degreedrop.codim_rank = _clocked(saved[1], "codim_rank_s", spent)
+    clocks = {
+        name: f"{name.lstrip('_')}_s"
+        for name in ("_child_count", "codim_rank", "codim_unrank")
+        if hasattr(degreedrop, name)
+    }
+    saved = {name: getattr(degreedrop, name) for name in clocks}
+    for name, fn in saved.items():
+        setattr(degreedrop, name, _clocked(fn, clocks[name], spent))
     samples = []
     try:
         for _ in range(repeat + 1):
-            spent.update(child_count_s=0.0, codim_rank_s=0.0)
+            spent.update(dict.fromkeys(clocks.values(), 0.0))
             t0 = time.perf_counter()
             for f in funcs:
                 degreedrop.profile(f, 3)
             samples.append({"pass_s": time.perf_counter() - t0, **spent})
     finally:
-        degreedrop._child_count, degreedrop.codim_rank = saved
+        for name, fn in saved.items():
+            setattr(degreedrop, name, fn)
     return {key: [round(s[key], 5) for s in samples[1:]] for key in samples[0]}
 
 
@@ -182,7 +191,7 @@ def exit_scans(seed: int) -> list[dict]:
 
     def tap(*args, **kwargs):
         for value in scan(*args, **kwargs):
-            seen["rows"] += len(value[0])
+            seen["rows"] += len(value[1])
             seen["chunks"] += 1
             yield value
 
