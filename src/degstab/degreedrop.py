@@ -127,7 +127,6 @@ from .subspaces import (
     AffineSubspace,
     LinearSubspace,
     _canonical_forms,
-    _regroup,
     codim_rank,
     codim_unrank,
     count_codim,
@@ -208,6 +207,30 @@ def _drop_chunks(f: ANF, k: int, ramp: bool = False):
     for rows in _regroup(_restricted(f, k, 0, ramp), _chunk_rows(f.n - k, ramp)):
         yield start, ~rows[:, _weight(f.n - k, r)].any(axis=1), rows
         start += len(rows)
+
+
+def _regroup(pieces: Iterable[np.ndarray], sizes: Iterator[int]) -> Iterator[np.ndarray]:
+    """Arrays, in order, regrouped along their first axis into C-contiguous
+    chunks whose lengths are read from sizes in turn, the last one shorter.
+    A chunk that lies in one C-contiguous piece is a view of it."""
+    parts: list[np.ndarray] = []
+    have = 0
+    size = next(sizes)
+    for piece in pieces:
+        while len(piece):
+            take = min(len(piece), size - have)
+            parts.append(piece[:take])
+            piece = piece[take:]
+            have += take
+            if have == size:
+                yield _join(parts)
+                parts, have, size = [], 0, next(sizes)
+    if parts:
+        yield _join(parts)
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    return np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
 
 
 def _restricted(f: ANF, k: int, lo: int, ramp: bool) -> Iterator[np.ndarray]:

@@ -7,22 +7,18 @@ canonical, so equality of subspaces is tuple equality of their forms and
 constants. A linear subspace is the affine subspace with zero constants:
 LinearSubspace is the AffineSubspace whose consts is fixed at 0.
 
-Enumeration visits the [n k]_2 codim-k subspaces in one canonical order,
-numpy block by block. A pivot block holds the RREF forms with one pivot
-combination; blocks come in lexicographic order of the combinations. Inside
-a block, row i has a free slot at every non-pivot column above its pivot,
-and a form is named by its free-bit integer g: bit j of g fills the j-th
-slot, slots taken row-major with columns ascending. The block's forms are
-built at once by scattering the bits of arange(2**slots) into the slots,
-and blocks longer than the chunk size are split.
+Enumeration visits the [n k]_2 codim-k subspaces in one canonical order:
+lexicographic in the pivot combinations, then by the free-bit integer g.
+Row i has a free slot at every non-pivot column above its pivot, and bit j
+of g fills the j-th slot, slots taken row-major with columns ascending.
 
 A subspace is named by its position in this order: codim_rank computes it
 from the forms and codim_unrank decodes forms from it, both from one small
-cached table (_rank_table). So a scan carries positions and builds forms
-only for the spaces it reports. The order is also lexicographic in the
-pivots, so the spaces whose pivots all exceed p are a suffix of it, the
-last [n-p-1 k]_2; the scan engine builds each co-dimension's restrictions
-from those suffixes of the one below.
+cached table (_rank_table). The enumerations decode consecutive positions,
+and a scan carries positions and builds forms only for the spaces it
+reports. The spaces whose pivots all exceed p are a suffix of the order,
+the last [n-p-1 k]_2; the scan engine builds each co-dimension's
+restrictions from those suffixes of the one below.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +38,7 @@ from .bits import mask_to_vars, parity_table, xor_points
 from .counting import gaussian_binomial
 from .errors import (
     AnfSyntaxError,
+    DegstabError,
     DimensionMismatchError,
     EnumerationRangeError,
     NotCanonicalError,
@@ -230,57 +227,6 @@ def _check_codim(n: int, k: int) -> None:
         raise EnumerationRangeError(f"co-dimension must lie in 0..n={n}, got {k}")
 
 
-# Pivot blocks are built in pieces of at least this many rows, so that the
-# chunks of a small chunk_size are cut from a shared piece instead of each
-# paying some twenty numpy calls. A piece of forms takes at most 1 MB.
-_PIECE = 4096
-
-
-def _pivot_blocks(n: int, k: int, size: int) -> Iterator[np.ndarray]:
-    """The RREF forms of every codim-k subspace in canonical order, one
-    pivot block at a time, blocks longer than size split into pieces.
-
-    A pivot block holds the RREF forms with one pivot combination: row i is
-    1 << pivots[i] plus free bits at the non-pivot columns above its pivot.
-    Free-bit integer g sets those slots, bit j of g on the j-th slot taken
-    row-major with columns ascending, so the block's rows run over
-    g = 0 .. 2**slots - 1.
-    """
-    for pivots in itertools.combinations(range(n), k):
-        slots = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
-        for start in range(0, 1 << len(slots), size):
-            g = np.arange(start, min(1 << len(slots), start + size), dtype=np.int64)
-            forms = np.empty((k, len(g)), dtype=np.int64)
-            forms[:] = np.array([1 << p for p in pivots], dtype=np.int64)[:, None]
-            for j, (i, c) in enumerate(slots):
-                forms[i] |= ((g >> j) & 1) << c
-            yield forms.T
-
-
-def _regroup(pieces: Iterable[np.ndarray], sizes: Iterator[int]) -> Iterator[np.ndarray]:
-    """Arrays, in order, regrouped along their first axis into C-contiguous
-    chunks whose lengths are read from sizes in turn, the last one shorter.
-    A chunk that lies in one C-contiguous piece is a view of it."""
-    parts: list[np.ndarray] = []
-    have = 0
-    size = next(sizes)
-    for piece in pieces:
-        while len(piece):
-            take = min(len(piece), size - have)
-            parts.append(piece[:take])
-            piece = piece[take:]
-            have += take
-            if have == size:
-                yield _join(parts)
-                parts, have, size = [], 0, next(sizes)
-    if parts:
-        yield _join(parts)
-
-
-def _join(parts: list[np.ndarray]) -> np.ndarray:
-    return np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
-
-
 def enumerate_codim(n: int, k: int) -> Iterator[LinearSubspace]:
     """All linear subspaces of co-dimension k, canonical order; [n k]_2 of
     them. Bad arguments raise here, not on first next()."""
@@ -291,15 +237,16 @@ def enumerate_codim(n: int, k: int) -> Iterator[LinearSubspace]:
 def iter_codim_chunks(n: int, k: int, chunk_size: int = 8192) -> Iterator[np.ndarray]:
     """Stream the RREF forms of all codim-k subspaces, chunked.
 
-    Yields (len, k) int64 arrays, one row per subspace; every chunk but the
-    last has chunk_size rows. Order matches enumerate_codim. Bad arguments
-    raise here, not on first next().
+    Yields (len, k) int64 arrays, one row per subspace, each the
+    codim_unrank of the next chunk_size positions; every chunk but the last
+    has chunk_size rows. Order matches enumerate_codim. Bad arguments raise
+    here, not on first next().
     """
     _check_codim(n, k)
-    if chunk_size < 1:
-        raise EnumerationRangeError(f"chunk_size must be at least 1, got {chunk_size}")
-    blocks = _pivot_blocks(n, k, max(chunk_size, _PIECE))
-    return _regroup(blocks, itertools.repeat(chunk_size))
+    if not isinstance(chunk_size, (int, np.integer)) or not 1 <= chunk_size <= _INT64_MAX:
+        raise EnumerationRangeError(f"chunk_size must be an int64 of at least 1, got {chunk_size!r}")
+    end = count_codim(n, k)
+    return (codim_unrank(n, k, np.arange(s, min(s + chunk_size, end))) for s in range(0, end, chunk_size))
 
 
 _CACHE_LIMIT = 250_000
@@ -307,17 +254,26 @@ _CACHE_LIMIT = 250_000
 
 @lru_cache(maxsize=16)
 def materialized_codim(n: int, k: int) -> np.ndarray:
-    """Cached full enumeration for small [n k]_2, as one read-only array of
-    forms shaped like an iter_codim_chunks chunk."""
+    """Cached full enumeration for small [n k]_2: the codim_unrank of every
+    position, as one read-only array shaped like an iter_codim_chunks chunk."""
     _check_codim(n, k)
     if count_codim(n, k) > _CACHE_LIMIT:
         raise EnumerationRangeError(
             f"{count_codim(n, k)} subspaces of co-dimension {k} in F_2^{n} exceed"
             f" the cache limit {_CACHE_LIMIT}; stream them with iter_codim_chunks"
         )
-    forms = next(iter_codim_chunks(n, k, count_codim(n, k)))
+    forms = codim_unrank(n, k, np.arange(count_codim(n, k)))
     forms.setflags(write=False)
     return forms
+
+
+def _int64s(name: str, values, error: type[DegstabError]) -> np.ndarray:
+    """values as an int64 array, int64 input not copied; non-integer values
+    and values outside int64 raise error, naming the argument."""
+    a = np.asarray(values)
+    if a.size and (a.dtype.kind not in "iu" or a.dtype == np.uint64 and a.max() > _INT64_MAX):
+        raise error(f"{name} must be integers that fit int64, got {a.dtype} values")
+    return a.astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -341,14 +297,13 @@ def codim_rank(n: int, forms) -> np.ndarray:
     """Position of each codim-k subspace in the canonical order, vectorized.
 
     `forms` has shape (..., k): the RREF annihilator rows of each subspace,
-    in any row order. The order is lexicographic in the pivots p_i, then by
-    the free-bit integer, row 0's slots lowest, so with g_i row i's free
-    bits, S_i the slots of the rows before it and p_-1 = -1, the rank is the
-    sum over i of (off[k-i, p_(i-1) + 1, p_i] + g_i) * 2**S_i (_rank_table).
+    in any row order. With pivots p_i, g_i row i's free bits, S_i the slots
+    of the rows before it and p_-1 = -1, the rank is the sum over i of
+    (off[k-i, p_(i-1) + 1, p_i] + g_i) * 2**S_i (_rank_table).
     Returns an int64 array of shape (...). Ranks run below [n k]_2; a
     co-dimension whose [n k]_2 does not fit int64 raises.
     """
-    forms = np.asarray(forms, dtype=np.int64)
+    forms = _int64s("forms", forms, VariableIndexError)
     if forms.ndim < 1:
         raise EnumerationRangeError("forms need a last axis of length k")
     k = forms.shape[-1]
@@ -392,7 +347,7 @@ def codim_unrank(n: int, k: int, ranks) -> np.ndarray:
     peeling off its terms row by row. Positions run below [n k]_2 and
     2**63 - 1, so the first spaces past the int64 limit decode too."""
     _check_codim(n, k)
-    ranks = np.asarray(ranks, dtype=np.int64)
+    ranks = _int64s("ranks", ranks, EnumerationRangeError)
     flat = ranks.reshape(-1)
     end = min(count_codim(n, k), _INT64_MAX)
     if ((flat < 0) | (flat >= end)).any():

@@ -237,7 +237,7 @@ def _slots(n: int, pivots: Sequence[int]) -> list[tuple[int, int]]:
     return [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
 
 
-def _iter_rref_forms(n: int, k: int):
+def iter_rref_forms(n: int, k: int):
     """All canonical k x n RREF annihilator matrices, in the package's order:
 
     pivot-column combinations lexicographically, then free-bit assignments in
@@ -271,7 +271,7 @@ def _kernel_from_rref(n: int, rows: Sequence[int]) -> list[int]:
 
 def codim_rank(n: int, forms: Sequence[int]) -> int:
     """Position of the space with RREF annihilator rows `forms` (any row
-    order) in the order of _iter_rref_forms: the 2**slots of every earlier
+    order) in the order of iter_rref_forms: the 2**slots of every earlier
     pivot combination, plus its free bits read slot by slot."""
     rows = sorted(forms, key=lambda a: a & -a)
     pivots = tuple((a & -a).bit_length() - 1 for a in rows)
@@ -287,7 +287,7 @@ def codim_rank(n: int, forms: Sequence[int]) -> int:
 
 def codim_forms_and_bases(n: int, k: int) -> list[tuple[tuple[int, ...], list[int]]]:
     """(forms, solution basis) of every codim-k subspace, in canonical order."""
-    return [(rows, _kernel_from_rref(n, rows)) for rows in _iter_rref_forms(n, k)]
+    return [(rows, _kernel_from_rref(n, rows)) for rows in iter_rref_forms(n, k)]
 
 
 # -- restriction rows by the truth table ----------------------------------------

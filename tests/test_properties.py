@@ -95,9 +95,9 @@ def _scanned_profile(g, k_max):
     rows, prev = [], set()
     for k in range(1, k_max + 1):
         drops = {
-            oracles.span_set(codim_unrank(g.n, k, start + i))
+            oracles.span_set(forms)
             for start, dd, _ in degreedrop._drop_chunks(g, k)
-            for i in np.flatnonzero(dd)
+            for forms in codim_unrank(g.n, k, start + np.flatnonzero(dd)).tolist()
         }
         rows.append((k, len(drops), oracles.new_count(drops, prev)))
         prev = drops

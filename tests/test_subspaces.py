@@ -150,7 +150,7 @@ def _rows(forms):
 
 
 def _oracle_forms(n, k):
-    return [rows for rows, _ in oracles.codim_forms_and_bases(n, k)]
+    return list(oracles.iter_rref_forms(n, k))
 
 
 def test_iter_codim_chunks_matches_the_order_oracle():
@@ -183,13 +183,10 @@ def test_enumerate_codim_matches_the_order_oracle():
 
 
 def test_codim_rank_is_the_enumeration_index():
-    for n, k in ORDER_SIZES:
+    for n, k in [*ORDER_SIZES, (9, 2), (9, 7), (10, 2)]:
         forms = _oracle_forms(n, k)
         ranks = codim_rank(n, np.array(forms, dtype=np.int64).reshape(len(forms), k))
         assert ranks.tolist() == list(range(count_codim(n, k))), (n, k)
-    for n, k in ((9, 2), (9, 7), (10, 2)):
-        forms = materialized_codim(n, k)
-        assert (codim_rank(n, forms) == np.arange(count_codim(n, k))).all(), (n, k)
     assert codim_rank(5, (0b00011, 0b01100)).shape == ()
 
 
@@ -199,8 +196,8 @@ def test_enumeration_rejects_bad_arguments_at_call_time():
         for call in (iter_codim_chunks, enumerate_codim, materialized_codim):
             with pytest.raises(EnumerationRangeError, match=r"0\.\.n=4"):
                 call(n, k)
-    for size in (0, -3):
-        with pytest.raises(EnumerationRangeError, match="at least 1"):
+    for size in (0, -3, 2.5, "8", 2**64):
+        with pytest.raises(EnumerationRangeError, match="chunk_size must be an int64 of at least 1"):
             iter_codim_chunks(4, 2, chunk_size=size)
     with pytest.raises(EnumerationRangeError, match="n <= 32"):
         iter_codim_chunks(33, 1)
@@ -221,6 +218,9 @@ def test_codim_rank_rejects_what_it_cannot_rank():
         codim_rank(4, (0b10000,))
     with pytest.raises(VariableIndexError):
         codim_rank(4, (0,))
+    # forms (3, 4) rank 65; their float neighbours are not forms
+    with pytest.raises(VariableIndexError, match="forms must be integers that fit int64"):
+        codim_rank(5, [[3.7, 4.2]])
 
 
 def test_codim_rank_checks_the_int64_limit_before_building_a_table():
@@ -242,17 +242,19 @@ def test_codim_unrank_inverts_the_enumeration():
         for k in range(n + 1):
             if count_codim(n, k) <= _CACHE_LIMIT:
                 ranks = np.arange(count_codim(n, k))
-                assert np.array_equal(codim_unrank(n, k, ranks), materialized_codim(n, k)), (n, k)
+                assert _rows(codim_unrank(n, k, ranks)) == _oracle_forms(n, k), (n, k)
     assert codim_unrank(5, 2, 7).shape == (2,)
     assert codim_unrank(5, 2, [[0, 1]]).shape == (1, 2, 2)
 
 
 def test_codim_unrank_decodes_past_the_int64_rank_limit():
     # [n k]_2 exceeds 2**63 here; positions below 2**63 - 1 still decode,
-    # the first ones as the enumeration's first chunk
+    # the first ones, unranked or enumerated, to the oracle's first spaces
     for n, k in ((20, 4), (24, 12), (32, 16)):
-        first = next(iter_codim_chunks(n, k, 64))
-        assert np.array_equal(codim_unrank(n, k, range(64)), first), (n, k)
+        expected = list(islice(oracles.iter_rref_forms(n, k), 64))
+        assert [oracles.codim_rank(n, rows) for rows in expected] == list(range(64))
+        assert _rows(codim_unrank(n, k, range(64))) == expected, (n, k)
+        assert _rows(next(iter_codim_chunks(n, k, 64))) == expected, (n, k)
     last = 2**63 - 2
     assert oracles.codim_rank(20, codim_unrank(20, 4, last).tolist()) == last
     for bad in (-1, 2**63 - 1):
@@ -262,6 +264,10 @@ def test_codim_unrank_decodes_past_the_int64_rank_limit():
         codim_unrank(4, 1, [15])  # [4 1]_2 = 15
     with pytest.raises(EnumerationRangeError, match=r"0\.\.n=4"):
         codim_unrank(4, 5, [0])
+    # not truncated to 0 and 1, not parsed, not a bare OverflowError
+    for bad in ([0.9, 1.5], ["1"], [2**64], [-1, 2**63]):
+        with pytest.raises(EnumerationRangeError, match="ranks must be integers that fit int64"):
+            codim_unrank(5, 2, bad)
 
 
 def test_codim_unrank_keeps_a_small_table():

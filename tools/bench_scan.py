@@ -4,7 +4,7 @@ Run from the repository root with the tree to measure first on PYTHONPATH:
 
     PYTHONPATH=src python3 tools/bench_scan.py --repeat 5 --seed 1
 
-It prints one JSON object with six keys:
+It prints one JSON object with seven keys:
 
   stages  for each (n, k) in STAGES, over a full degreedrop._drop_chunks(f, k)
           scan of a fixed function f of degree r, one sample per --repeat
@@ -50,12 +50,17 @@ It prints one JSON object with six keys:
           interpreter that imports degstab, builds x1 and x1*...*xN, and
           makes the one call, call_s, the call's own time inside it, and
           the distinct values it returned; run before the other keys too
+  enumerate  seconds of one full pass, one sample per --repeat (after one
+          warm-up pass): of subspaces.iter_codim_chunks(n, k) for each
+          (n, k) in ENUM_CHUNKS, its chunks dropped as they come, and of
+          list(subspaces.enumerate_codim(n, k)) for each (n, k) in
+          ENUM_SPACES, whose lists are small enough to hold
 
 The stages call private scan functions that the tree's degreedrop module has
 had since the substitution route (08695fa), new_step rebinds two it has had
 since subspaces were ranked (c01b6a0) and codim_unrank where it exists, the
-kernels and spaces call only public functions, and analyze only the CLI,
-so one copy of this file measures those older trees too.
+kernels, spaces and enumerate keys call only public functions, and analyze
+only the CLI, so one copy of this file measures those older trees too.
 """
 
 from __future__ import annotations
@@ -67,9 +72,10 @@ import random
 import subprocess
 import sys
 import time
+from collections import deque
 from itertools import combinations
 
-from degstab import degreedrop, invariants
+from degstab import degreedrop, invariants, subspaces
 from degstab.anf import ANF
 from degstab.catalog import representative
 from degstab.subspaces import count_codim
@@ -105,6 +111,12 @@ SPACE_CALLS = {
     "normal_space_full": "degreedrop.dd_hyperplane_normal_space(full).count",
     "duality_full": "degreedrop.check_dd_fast_duality(full).ok",
 }
+# the enumerate key: (n, k) of the full iter_codim_chunks passes, and of the
+# enumerate_codim lists, 43,435 and 97,155 spaces; a LinearSubspace takes
+# about 160 bytes, so the lists at (12, 2) and (10, 3) would hold 0.4 and
+# 1 GB
+ENUM_CHUNKS = ((9, 2), (12, 2), (10, 3))
+ENUM_SPACES = ((9, 2), (8, 3))
 SPACE_CHILD = """
 import sys, time
 from degstab import ANF, degreedrop
@@ -229,6 +241,17 @@ def _per_call(fn, inputs: list, repeat: int) -> list[float]:
     return samples[1:]
 
 
+def enumerate_times(repeat: int) -> dict[str, list[float]]:
+    out = {}
+    for n, k in ENUM_CHUNKS:
+        drain = lambda nk: deque(subspaces.iter_codim_chunks(*nk), maxlen=0)
+        out[f"iter_codim_chunks_{n}_{k}"] = _per_call(drain, [(n, k)], repeat)
+    for n, k in ENUM_SPACES:
+        spaces = lambda nk: list(subspaces.enumerate_codim(*nk))
+        out[f"enumerate_codim_{n}_{k}"] = _per_call(spaces, [(n, k)], repeat)
+    return out
+
+
 def kernel_times(seed: int, repeat: int) -> dict[str, list[float]]:
     seen = []
     space = degreedrop.dd_hyperplane_normal_space
@@ -324,6 +347,7 @@ def main() -> int:
         "exits": exit_scans(args.seed),
         "kernels": kernel_times(args.seed, args.repeat),
         "new_step": new_step_times(args.repeat),
+        "enumerate": enumerate_times(args.repeat),
         "analyze": analyze,
         "spaces": spaces,
     }))
