@@ -178,7 +178,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         witness = construct.check_hyperplane_sufficient(result)
         checks.append(("witness-condition", "PASS" if witness.ok else "FAIL"))
         if _scan_budget(args.n):
-            clean = not degreedrop.has_degree_drop_space(result.to_anf(), 1)
+            # the lift's kernel on f's ANF, not the mask kernel used below
+            clean = degreedrop.degree_drop_count(result.to_anf(), 1) == 0
             checks.append(
                 ("exhaustive-hyperplane-scan", "PASS" if clean else "FAIL")
             )

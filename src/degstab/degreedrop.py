@@ -5,18 +5,19 @@ Whether A is degree-drop depends only on its underlying linear space, so all
 enumeration here runs over linear subspaces (canonical annihilator forms).
 
 The scan engine restricts one function f of degree r to many subspaces V at
-once and flags V as a drop when f|_V's weight-r ANF coefficients are zero:
-substitution never raises a degree, so deg(f|_V) <= r. Likewise k fast
-directions have a k-fold derivative of degree <= r - k (each derivative
-lowers the degree), flagged when its weight r - k is zero (empty if k > r).
-It runs in chunks of the enumeration order. An existence query
-(has_degree_drop_space, and through it k_membership and deg_stab) stops at
-the first chunk with a drop, so its chunks ramp, unless the whole level
-fits one full chunk: the first holds _POINTS >> _RAMP points and each next
-one twice as many, up to _POINTS. Counts, profiles, enumerate_degree_drop
-and the duality read every row, so they take full _POINTS chunks, which
-cost the fewest numpy calls. Chunk sizes change neither the order of the
-rows nor any result.
+once and keeps of each f|_V only its part: the weight-r ANF coefficients,
+gathered once per piece of restrictions. Substitution never raises a
+degree, so V drops iff its part is zero, and the lift's normal kernel
+reads the same part. Likewise k fast directions have a k-fold derivative
+of degree <= r - k (each derivative lowers the degree), flagged when its
+weight r - k is zero (empty if k > r). It runs in chunks of the enumeration
+order. An existence query (has_degree_drop_space, and through it
+k_membership and deg_stab) stops at the first chunk with a drop, so its
+chunks ramp, unless the whole level fits one full chunk: the first holds
+_POINTS >> _RAMP points and each next one twice as many, up to _POINTS.
+Counts, profiles, enumerate_degree_drop and the duality read every row, so
+they take full _POINTS chunks, which cost the fewest numpy calls. Chunk
+sizes change neither the order of the rows nor any result.
 
 The rows of co-dimension k come from those of co-dimension k - 1, one
 substitution per pivot, in canonical order; a chunk carries the rank of its
@@ -187,32 +188,34 @@ def _chunk_rows(m: int, ramp: bool) -> Iterator[int]:
     drop reduces few rows."""
     points = max(1, _POINTS >> _RAMP) if ramp else _POINTS
     while True:
-        yield _floor2(points >> m)
+        yield 1 << (max(1, points >> m).bit_length() - 1)
         points = min(points << 1, _POINTS)
 
 
 def _drop_chunks(f: ANF, k: int, ramp: bool = False):
-    """Yield (start, drop_flags, anf_rows) over all codim-k subspaces, in order.
+    """Yield (start, drop_flags, part) over all codim-k subspaces, in order.
 
     Row i of a chunk is the subspace of rank start + i (codim_unrank names
-    it), and its ANF row holds the restriction's 2**(n-k) coefficients.
-    Chunks are sized by _chunk_rows; a ramped scan whose whole level fits
-    one full chunk reads it as that one chunk.
+    it), and its part holds the restriction's weight-r ANF coefficients,
+    r = deg f, gathered once per restriction piece; the space drops iff
+    they are all zero. Chunks are sized by _chunk_rows; a ramped scan whose whole
+    level fits one full chunk reads it as that one chunk.
     """
     if not 0 <= k <= f.n:
         raise EnumerationRangeError(f"co-dimension must lie in 0..n={f.n}, got {k}")
-    r = _int_degree(f)
+    at = _weight(f.n - k, _int_degree(f))
     ramp = ramp and count_codim(f.n, k) << (f.n - k) > _POINTS
+    parts = (rows[:, at] for rows in _restricted(f, k, 0, ramp))
     start = 0
-    for rows in _regroup(_restricted(f, k, 0, ramp), _chunk_rows(f.n - k, ramp)):
-        yield start, ~rows[:, _weight(f.n - k, r)].any(axis=1), rows
-        start += len(rows)
+    for part in _regroup(parts, _chunk_rows(f.n - k, ramp)):
+        yield start, ~part.any(axis=1), part
+        start += len(part)
 
 
 def _regroup(pieces: Iterable[np.ndarray], sizes: Iterator[int]) -> Iterator[np.ndarray]:
-    """Arrays, in order, regrouped along their first axis into C-contiguous
-    chunks whose lengths are read from sizes in turn, the last one shorter.
-    A chunk that lies in one C-contiguous piece is a view of it."""
+    """Arrays, in order, regrouped along their first axis into chunks whose
+    lengths are read from sizes in turn, the last one shorter. A chunk that
+    lies in one piece is a view of it."""
     parts: list[np.ndarray] = []
     have = 0
     size = next(sizes)
@@ -230,7 +233,7 @@ def _regroup(pieces: Iterable[np.ndarray], sizes: Iterator[int]) -> Iterator[np.
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
-    return np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _restricted(f: ANF, k: int, lo: int, ramp: bool) -> Iterator[np.ndarray]:
@@ -272,11 +275,6 @@ def _children(rows: np.ndarray, p: int, limits: Iterator[int]) -> Iterator[np.nd
         yield _substituted(rows[i : i + 1], p, g, size)
         g = (g + size) % (1 << s)
         i += not g
-
-
-def _floor2(x: int) -> int:
-    """The largest power of two <= max(1, x)."""
-    return 1 << (max(1, x).bit_length() - 1)
 
 
 def _words(rows: np.ndarray) -> np.ndarray:
@@ -353,13 +351,14 @@ def _normal_conditions(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return src, bit
 
 
-def _normal_kernel_dims(rows: np.ndarray, r: int) -> np.ndarray:
-    """Per ANF row (last axis 2**m): dimension of the degree-drop normal
-    kernel of its weight-r part, i.e. of `hyperplane_normal_basis` with those
-    monomials as the top part, by one GF(2) elimination batched over rows.
+def _normal_kernel_dims(part: np.ndarray, m: int, r: int) -> np.ndarray:
+    """Per row of `part`, the weight-r ANF coefficients of a function on m
+    variables in _weight(m, r) order: the dimension of the degree-drop
+    normal kernel of those monomials, i.e. of `hyperplane_normal_basis`
+    with them as the top part, by one GF(2) elimination batched over rows.
 
-    A row whose weight-r part is zero (a restriction that already drops)
-    has no condition, so its kernel is all of F_2^m.
+    A row that is zero (a restriction that already drops) has no condition,
+    so its kernel is all of F_2^m.
 
     The elimination clears the top bit first, j = m - 1 .. 0, and keeps
     every condition below 2**(j + 1). The largest condition is the pivot,
@@ -370,19 +369,18 @@ def _normal_kernel_dims(rows: np.ndarray, r: int) -> np.ndarray:
     it has been counted; without the zeroing, a column with no pivot would
     clear a condition that was never counted.
     """
-    m = rows.shape[-1].bit_length() - 1
     src, bit = _normal_conditions(m, r)
     if not src.size:
-        return np.full(len(rows), m)
-    # the weight-r coefficients, one row per monomial and one column per ANF
-    # row, so that the gathers read whole rows and every step below runs
-    # along the ANF rows
-    part = np.ascontiguousarray(rows[:, _weight(m, r)].T)
-    conds = part[src[0]] * bit[0][:, None]
+        return np.full(len(part), m)
+    # one row per monomial and one column per space, so that every step
+    # below runs along the spaces; _drop_chunks's gather lays its part out
+    # this way and np.concatenate keeps it, so there part.T is no copy
+    coeffs = part.T
+    conds = coeffs[src[0]] * bit[0][:, None]
     for s, b in zip(src[1:], bit[1:]):
-        conds |= part[s] * b[:, None]
+        conds |= coeffs[s] * b[:, None]
     scratch = np.empty_like(conds)
-    rank = np.zeros(len(rows), dtype=np.intp)
+    rank = np.zeros(len(part), dtype=np.intp)
     for j in reversed(range(m)):
         pivot = conds.max(axis=0)
         top = pivot >> j
@@ -399,9 +397,9 @@ def _lifted(f: ANF, k: int, ramp: bool = False):
     """
     if not 1 <= k <= f.n:
         raise EnumerationRangeError(f"co-dimension must lie in 1..n={f.n}, got {k}")
-    r = _int_degree(f)
-    for start, dd, rows in _drop_chunks(f, k - 1, ramp):
-        yield start, dd, (1 << _normal_kernel_dims(rows, r)) - 1
+    m, r = f.n - k + 1, _int_degree(f)
+    for start, dd, part in _drop_chunks(f, k - 1, ramp):
+        yield start, dd, (1 << _normal_kernel_dims(part, m, r)) - 1
 
 
 def _lifted_count(total: int, k: int) -> int:

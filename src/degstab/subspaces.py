@@ -212,6 +212,7 @@ def indicator(space: AffineSubspace) -> ANF:
 # The points of an enumerated space are uint32 masks (AffineSubspace.points).
 MAX_ENUM_VARS = 32
 _INT64_MAX = (1 << 63) - 1
+_CHUNK = 8192  # spaces per iter_codim_chunks chunk
 
 
 def count_codim(n: int, k: int) -> int:
@@ -234,19 +235,17 @@ def enumerate_codim(n: int, k: int) -> Iterator[LinearSubspace]:
     return (LinearSubspace(n, tuple(row)) for forms in chunks for row in forms.tolist())
 
 
-def iter_codim_chunks(n: int, k: int, chunk_size: int = 8192) -> Iterator[np.ndarray]:
+def iter_codim_chunks(n: int, k: int) -> Iterator[np.ndarray]:
     """Stream the RREF forms of all codim-k subspaces, chunked.
 
     Yields (len, k) int64 arrays, one row per subspace, each the
-    codim_unrank of the next chunk_size positions; every chunk but the last
-    has chunk_size rows. Order matches enumerate_codim. Bad arguments raise
+    codim_unrank of the next _CHUNK positions; every chunk but the last
+    has _CHUNK rows. Order matches enumerate_codim. Bad arguments raise
     here, not on first next().
     """
     _check_codim(n, k)
-    if not isinstance(chunk_size, (int, np.integer)) or not 1 <= chunk_size <= _INT64_MAX:
-        raise EnumerationRangeError(f"chunk_size must be an int64 of at least 1, got {chunk_size!r}")
     end = count_codim(n, k)
-    return (codim_unrank(n, k, np.arange(s, min(s + chunk_size, end))) for s in range(0, end, chunk_size))
+    return (codim_unrank(n, k, np.arange(s, min(s + _CHUNK, end))) for s in range(0, end, _CHUNK))
 
 
 _CACHE_LIMIT = 250_000

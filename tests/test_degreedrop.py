@@ -350,11 +350,18 @@ def test_existence_scans_past_the_int64_rank_limit():
 
 
 def _scan(f, k, ramp=False):
-    """forms, drop flags and ANF rows of _drop_chunks, chunks concatenated;
-    the forms decoded from each chunk's start rank."""
-    chunks = list(degreedrop._drop_chunks(f, k, ramp))
-    forms = [codim_unrank(f.n, k, start + np.arange(len(dd))) for start, dd, _ in chunks]
-    return (np.concatenate(forms), *(np.concatenate([c[i] for c in chunks]) for i in (1, 2)))
+    """forms and drop flags of _drop_chunks and ANF rows of _restricted,
+    chunks concatenated; the forms decoded from each chunk's start rank.
+    Each chunk's part must be its rows' weight-r columns."""
+    rows = np.concatenate(list(degreedrop._restricted(f, k, 0, ramp)))
+    at = degreedrop._weight(f.n - k, int(f.degree()))
+    forms, flags = [], []
+    for start, dd, part in degreedrop._drop_chunks(f, k, ramp):
+        want = rows[start : start + len(dd), at]
+        assert part.shape == want.shape and part.tobytes() == want.tobytes(), (f.n, k, ramp, start)
+        forms.append(codim_unrank(f.n, k, start + np.arange(len(dd))))
+        flags.append(dd)
+    return np.concatenate(forms), np.concatenate(flags), rows
 
 
 def _oracle_scan(f, k):
@@ -421,7 +428,7 @@ def test_benchmarked_scans_build_their_parent_level_once(monkeypatch):
             return step(rows, *args)
 
         monkeypatch.setattr(degreedrop, "_substituted", counted)
-        _scan(ANF.parse(text, n), k)
+        list(degreedrop._drop_chunks(ANF.parse(text, n), k))
         monkeypatch.undo()
         assert widths.count(1 << n) == n - 1, (n, k, widths)
         assert len(widths) < 3 * n, (n, k, widths)

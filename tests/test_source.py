@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,41 @@ def test_declared_numpy_floor_has_bitwise_count():
     floors = [re.fullmatch(r"numpy\s*>=\s*(\d+)\.(\d+)\S*", d) for d in deps if d.startswith("numpy")]
     assert len(floors) == 1 and floors[0], deps
     assert (int(floors[0][1]), int(floors[0][2])) >= (2, 0), deps
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level names of the modules a file imports, pytest.importorskip
+    calls included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "importorskip" and node.args
+              and isinstance(node.args[0], ast.Constant)):
+            names.add(node.args[0].value)
+    return {name.partition(".")[0] for name in names}
+
+
+def test_test_extra_declares_every_third_party_test_import():
+    # pip install -e .[test] must bring what the tests import, or
+    # importorskip silently skips their property tests
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with (root / "pyproject.toml").open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req)[0].lower().replace("-", "_")
+        for req in [*project["dependencies"], *project["optional-dependencies"]["test"]]
+    }
+    tests = Path(__file__).resolve().parent
+    local = {path.stem for path in tests.glob("*.py")} | {"degstab"}
+    imported = set().union(*map(_imported_modules, tests.glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"hypothesis", "numpy", "pytest"} <= third_party
+    assert third_party <= declared, sorted(third_party - declared)
 
 
 def _signatures():

@@ -133,7 +133,7 @@ def test_enumerate_codim_matches_oracle_spans():
 def test_iter_codim_chunks_matches_enumeration():
     n, k = 6, 2
     flat_forms = []
-    for forms in iter_codim_chunks(n, k, chunk_size=100):
+    for forms in iter_codim_chunks(n, k):
         assert forms.shape == (len(forms), k)
         flat_forms.extend(map(tuple, forms.tolist()))
     spaces = list(enumerate_codim(n, k))
@@ -154,17 +154,19 @@ def _oracle_forms(n, k):
 
 
 def test_iter_codim_chunks_matches_the_order_oracle():
-    # chunk sizes 1, 7 and 100 split the pivot blocks at every offset
+    # [7 3]_2 = [7 4]_2 = 11,811 spaces cross one chunk boundary
+    crossed = []
     for n, k in ORDER_SIZES:
-        expected = _oracle_forms(n, k)
-        for chunk_size in (1, 7, 100):
-            got, sizes = [], []
-            for forms in iter_codim_chunks(n, k, chunk_size):
-                assert forms.shape == (len(forms), k)
-                got += _rows(forms)
-                sizes.append(len(forms))
-            assert got == expected, (n, k, chunk_size)
-            assert set(sizes[:-1]) <= {chunk_size} and 0 < sizes[-1] <= chunk_size
+        got, sizes = [], []
+        for forms in iter_codim_chunks(n, k):
+            assert forms.shape == (len(forms), k)
+            got += _rows(forms)
+            sizes.append(len(forms))
+        assert got == _oracle_forms(n, k), (n, k)
+        assert set(sizes[:-1]) <= {8192} and 0 < sizes[-1] <= 8192, (n, k)
+        if len(sizes) > 1:
+            crossed.append((n, k, sizes))
+    assert crossed == [(7, 3, [8192, 3619]), (7, 4, [8192, 3619])]
 
 
 def test_materialized_codim_matches_the_order_oracle():
@@ -196,9 +198,6 @@ def test_enumeration_rejects_bad_arguments_at_call_time():
         for call in (iter_codim_chunks, enumerate_codim, materialized_codim):
             with pytest.raises(EnumerationRangeError, match=r"0\.\.n=4"):
                 call(n, k)
-    for size in (0, -3, 2.5, "8", 2**64):
-        with pytest.raises(EnumerationRangeError, match="chunk_size must be an int64 of at least 1"):
-            iter_codim_chunks(4, 2, chunk_size=size)
     with pytest.raises(EnumerationRangeError, match="n <= 32"):
         iter_codim_chunks(33, 1)
     assert issubclass(EnumerationRangeError, DegstabError)
@@ -254,7 +253,7 @@ def test_codim_unrank_decodes_past_the_int64_rank_limit():
         expected = list(islice(oracles.iter_rref_forms(n, k), 64))
         assert [oracles.codim_rank(n, rows) for rows in expected] == list(range(64))
         assert _rows(codim_unrank(n, k, range(64))) == expected, (n, k)
-        assert _rows(next(iter_codim_chunks(n, k, 64))) == expected, (n, k)
+        assert _rows(next(iter_codim_chunks(n, k))[:64]) == expected, (n, k)
     last = 2**63 - 2
     assert oracles.codim_rank(20, codim_unrank(20, 4, last).tolist()) == last
     for bad in (-1, 2**63 - 1):

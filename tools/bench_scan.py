@@ -15,10 +15,11 @@ It prints one JSON object with seven keys:
                           the one-pivot step (in older trees also the
                           substitution from f's ANF, under the same name,
                           and the truth-table gather, degreedrop._gathered)
-            kernel_s      the normal kernel on each chunk's rows, outside
-                          scan_s; it runs per chunk, as in the lift, so no
-                          chunk outlives the next (keeping every chunk made
-                          each substitution fault in fresh pages)
+            kernel_s      the normal kernel on each chunk's weight-r part
+                          (whole ANF rows in trees whose scan yields them),
+                          outside scan_s; it runs per chunk, as in the lift,
+                          so no chunk outlives the next (keeping every chunk
+                          made each substitution fault in fresh pages)
   exits   for each deg_stab item of perfbench's stream-n9 workload at --seed,
           the codim-(k-1) rows and chunks its existence scans reduce, summed
           over k, read by a tap on degreedrop._drop_chunks (rows counted
@@ -57,15 +58,17 @@ It prints one JSON object with seven keys:
           ENUM_SPACES, whose lists are small enough to hold
 
 The stages call private scan functions that the tree's degreedrop module has
-had since the substitution route (08695fa), new_step rebinds two it has had
-since subspaces were ranked (c01b6a0) and codim_unrank where it exists, the
-kernels, spaces and enumerate keys call only public functions, and analyze
-only the CLI, so one copy of this file measures those older trees too.
+had since the substitution route (08695fa), passing m to the kernel where
+its signature names it; new_step rebinds two it has had since subspaces were
+ranked (c01b6a0) and codim_unrank where it exists; the kernels, spaces and
+enumerate keys call only public functions, and analyze only the CLI; so one
+copy of this file measures those older trees too.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import random
@@ -144,6 +147,9 @@ def stage_times(n: int, k: int, text: str) -> dict[str, float]:
     r = int(f.degree())
     out = dict.fromkeys(("scan_s", "restrict_s", "kernel_s"), 0.0)
     out.update(restrict_rows=0)
+    kernel = degreedrop._normal_kernel_dims
+    # the scan's weight-r part and m, or in older trees whole ANF rows
+    args = (n - k, r) if "m" in inspect.signature(kernel).parameters else (r,)
     saved = {name: getattr(degreedrop, name) for name in RESTRICT if hasattr(degreedrop, name)}
     for name, fn in saved.items():
         setattr(degreedrop, name, _timed(fn, "restrict", out))
@@ -151,7 +157,7 @@ def stage_times(n: int, k: int, text: str) -> dict[str, float]:
         t0 = time.perf_counter()
         for _, _, rows in degreedrop._drop_chunks(f, k):
             t1 = time.perf_counter()
-            degreedrop._normal_kernel_dims(rows, r)
+            kernel(rows, *args)
             out["kernel_s"] += time.perf_counter() - t1
         out["scan_s"] = time.perf_counter() - t0 - out["kernel_s"]
     finally:
