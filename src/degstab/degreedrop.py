@@ -94,15 +94,31 @@ f|_S = g|_{a.y=0}.
 * Counts. A codim-k space lies in exactly 2**k - 1 codim-(k-1) spaces, the
   hyperplanes of its k-dimensional annihilator, so count_k = sum over U of
   c(U) / (2**k - 1). Some codim-k space drops iff some c(U) > 0.
-* New. A codim-k space is not new iff it lies inside a dropping codim-(k-1)
-  space U, and then it drops. The spaces inside U are its children: U's
-  annihilator plus one form a on U's free columns, 2**m - 1 of them. So
-  new_k = count_k - |union of the children of the codim-(k-1) drops|.
-  A child is named by its rank in the canonical order
-  (subspaces.codim_rank), so the union is a count of distinct int64s.
+* New. A codim-k space S, k >= 2, is not new iff it lies inside a
+  dropping codim-(k-1) space U, and then it drops, as every subspace of a
+  drop does. Let N be the span of the dropping hyperplanes' normals,
+  d = dim N = R_1, and A_S S's annihilator, of dimension k; the U around S
+  are the spaces whose annihilator is a (k-1)-dimensional subspace of A_S.
+  If A_S meets N, in a, then S lies in the dropping hyperplane
+  H_a = {a . x = 0}, and so does every U between S and H_a: some
+  (k-1)-subspace of A_S holds a, as k >= 2, and that U drops. If A_S
+  misses N, so does every A_U inside it, so S lies in a dropping U iff it
+  is a child of a codim-(k-1) drop whose annihilator misses N. Of the
+  k-dimensional subspaces of F_2^n, 2**(k*d) [n-d k]_2 miss N: each
+  projects one-to-one onto a k-dimensional subspace of F_2^n / N, and is
+  the graph of one of the 2**(k*d) linear maps from it to N. So the union
+  of the spaces inside the codim-(k-1) drops has
+  [n k]_2 - 2**(k*d) [n-d k]_2 + |distinct children that miss N, of the
+  drops that miss N| members, and new_k = count_k less that. The children
+  of U are U's annihilator plus one form a on U's free (non-pivot)
+  columns, 2**m - 1 of them, and A_U + <a> misses N iff A_U does and a
+  lies outside A_U + N. A child is named by its rank in the canonical
+  order (subspaces._rank), so the last term counts distinct int64s. At
+  k = 2 each codim-1 drop's annihilator is its normal, in N, so no child
+  is built.
 
 The codim-(k-1) scan also yields its own drop flags, so a profile scans
-co-dimensions 0..k_max-1 once each.
+co-dimensions 1..k_max-1 once each and reads co-dimension 1 off N.
 """
 
 from __future__ import annotations
@@ -128,7 +144,7 @@ from .subspaces import (
     AffineSubspace,
     LinearSubspace,
     _canonical_forms,
-    codim_rank,
+    _rank,
     codim_unrank,
     count_codim,
     restrict,
@@ -413,32 +429,76 @@ def _lifted_count(total: int, k: int) -> int:
     return total // parents
 
 
-def _child_count(forms: np.ndarray, n: int) -> int:
-    """Number of distinct codim-(j+1) spaces inside the codim-j spaces with
-    RREF annihilators `forms`, an int64 array with one row of j per space.
+def _meeting(n: int, k: int, d: int) -> int:
+    """Number of codim-k subspaces of F_2^n whose annihilator meets a fixed
+    d-dimensional span N: all [n k]_2 of them less the 2**(k*d) [n-d k]_2
+    whose annihilator misses N (module docstring, New.)."""
+    return count_codim(n, k) - (count_codim(n - d, k) << (k * d))
 
-    A child of U adds one form a on U's free (non-pivot) columns. Reducing
-    U's rows that carry a's lowest bit by a puts the child in RREF; its rank
-    in the canonical order is its key. The ranks are marked in a boolean
-    array of [n j+1]_2 bytes when that is at most _SEEN_BYTES, and sorted
-    otherwise.
+
+def _child_count(forms: np.ndarray, n: int, normals: Sequence[int]) -> int:
+    """Number of distinct codim-(j+1) spaces S inside the codim-j spaces U
+    with RREF annihilators `forms` (an int64 array, one row of j per U, in
+    pivot order) whose annihilator A_S misses the span N of `normals`.
+
+    A child of U adds one form a on U's free (non-pivot) columns, and A_S
+    misses N iff A_U does and a lies outside A_U + N (module docstring,
+    New.). Reduction modulo A_U, whose rows are RREF, fixes a, so a lies
+    in A_U + N iff it lies in the span E_U of N's basis reduced modulo
+    A_U, and A_U meets N iff those d vectors are dependent: such a U is
+    dropped. For the others, reduction modulo E_U is linear, so applied to
+    every a at once it leaves 0 exactly at the a's in E_U, which are
+    dropped too.
+
+    Reducing U's rows that carry a's lowest bit l by a puts the child in
+    RREF. Such a row's pivot lies below l, and so below all of a, so no
+    pivot moves, and a takes its place in the pivot order after U's pivots
+    below l. The child's rank in the canonical order (subspaces._rank) is
+    its key. The ranks are marked in a boolean array of [n j+1]_2 bytes
+    when that is at most _SEEN_BYTES, and sorted otherwise.
     """
     if not len(forms):
         return 0
-    j = forms.shape[1]
+    j, d = forms.shape[1], len(normals)
+    # N's basis modulo each A_U, eliminated on its lowest bits in place: a
+    # vector that reaches 0 shows that A_U meets N (no U meets N = 0)
+    basis = np.array(normals, dtype=np.int64).reshape(1, d).repeat(len(forms), axis=0)
+    if d:
+        basis = _reduced(basis, forms.T[:, :, None])
+        live = np.ones(len(forms), dtype=bool)
+        for i in range(d):
+            row = basis[:, i : i + 1].copy()
+            low = row & -row
+            live &= low[:, 0] != 0
+            basis ^= np.where(basis & low != 0, row, 0)
+            basis[:, i : i + 1] = row
+        forms, basis = forms[live], basis[live]
+        if not len(forms):
+            return 0
+    by_row = np.ascontiguousarray(forms.T)  # by_row[i]: every U's row i
     cols = np.int64(1) << np.arange(n, dtype=np.int64)
-    pivots = np.bitwise_or.reduce(forms & -forms, axis=1)
-    free = np.broadcast_to(cols, (len(forms), n))[(pivots[:, None] & cols) == 0]
-    free = free.reshape(len(forms), n - j)
+    pivots = np.bitwise_or.reduce(by_row & -by_row, axis=0)
+    isfree = (pivots[:, None] & cols) == 0
+    free = np.broadcast_to(cols, isfree.shape)[isfree].reshape(len(forms), n - j)
     size = count_codim(n, j + 1)
     seen = np.zeros(size, dtype=bool) if size <= _SEEN_BYTES else None
     parts = []
     step = max(1, _CHUNK >> (n - j))
     for s in range(0, len(forms), step):
-        a = xor_points(free[s : s + step], dtype=np.int64)[:, 1:, None]
-        u = forms[s : s + step, None, :]
-        rows = np.where(u & (a & -a) != 0, u ^ a, u)
-        ranks = codim_rank(n, np.concatenate([rows, a], axis=-1))
+        a = xor_points(free[s : s + step], dtype=np.int64)
+        parent, at = np.nonzero(_reduced(a, basis[s : s + step].T[:, :, None]))
+        a = a[parent, at]
+        parent += s
+        low = a & -a
+        u = by_row[:, parent]
+        u ^= np.where(u & low != 0, a, 0)
+        pos = np.bitwise_count(pivots[parent] & (low - 1))
+        # the child's row i is u's row i below pos, a at pos, u's i - 1 above
+        rows = np.empty((j + 1, len(a)), dtype=np.int64)
+        for i in range(j + 1):
+            rows[i] = np.where(pos > i, u[min(i, j - 1)], np.where(pos == i, a, u[max(i - 1, 0)]))
+        piv = np.bitwise_count((rows & -rows) - 1).astype(np.int64)
+        ranks = _rank(n, rows.T, piv.T)
         if seen is None:
             parts.append(_distinct(ranks))
         else:
@@ -448,11 +508,21 @@ def _child_count(forms: np.ndarray, n: int) -> int:
     return int(np.count_nonzero(seen))
 
 
+def _reduced(x: np.ndarray, basis: Iterable) -> np.ndarray:
+    """x reduced modulo the span of `basis`, whose vectors each have a pivot,
+    their lowest set bit, that no other of them holds (as in an RREF basis):
+    each added where x holds its pivot. The vectors may be ints or arrays
+    that broadcast against x."""
+    for b in basis:
+        x = x ^ np.where(x & (b & -b) != 0, b, 0)
+    return x
+
+
 def _distinct(x: np.ndarray) -> np.ndarray:
     """The distinct values of x, sorted: np.unique by a sort, because
     np.unique's hash table (numpy 2.4) takes 20-35x longer on 8K int64s."""
     x = np.sort(x, axis=None)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+    return x[np.concatenate(([True], x[1:] != x[:-1]))[: len(x)]]
 
 
 # -- single-subspace checks --------------------------------------------------
@@ -538,28 +608,36 @@ def profile(f: ANF, k_max: Optional[int] = None) -> DegreeDropProfile:
 
     `new` counts those not contained in any degree-drop space of co-dimension
     one less (for co-dimension 1, new = count). Default k_max is
-    min(3, n - deg(f)). Co-dimension k is read off the codim-(k-1) scan, so
-    no space of co-dimension k_max is enumerated."""
+    min(3, n - deg(f)). Co-dimension 1 is read off the span N of the
+    hyperplane normals, 2**dim N - 1 drops; each co-dimension k >= 2 off
+    the codim-(k-1) scan, whose drop count must equal the row above; so no
+    space of co-dimension 0 or k_max is enumerated. The spaces inside a
+    codim-(k-1) drop are those whose annihilator meets N, counted in
+    closed form, and the children, outside those, of the drops whose
+    annihilator misses N (module docstring, New.)."""
     r = _int_degree(f)
     if k_max is None:
         k_max = max(0, min(3, f.n - r))
     elif k_max < 1:
         raise EnumerationRangeError(f"k_max must be >= 1, got {k_max}")
-    rows: list[ProfileRow] = []
-    for k in range(1, k_max + 1):
+    normals = hyperplane_normal_basis(f.n, _top(f))
+    d = len(normals)
+    rows = [ProfileRow(1, (1 << d) - 1, (1 << d) - 1)] if k_max else []
+    for k in range(2, k_max + 1):
         parts = []
         total = 0
         for start, dd, c in _lifted(f, k):
             parts.append(start + np.flatnonzero(dd))
             total += int(c.sum())
         drops = codim_unrank(f.n, k - 1, np.concatenate(parts))
-        if rows and len(drops) != rows[-1].count:
+        if len(drops) != rows[-1].count:
             raise InvariantViolationError(
-                f"the codim-{k - 1} scan finds {len(drops)} drops, the lift"
+                f"the codim-{k - 1} scan finds {len(drops)} drops, the row above"
                 f" {rows[-1].count}"
             )
         count = _lifted_count(total, k)
-        rows.append(ProfileRow(k, count, count - _child_count(drops, f.n)))
+        inside = _meeting(f.n, k, d) + _child_count(drops, f.n, normals)
+        rows.append(ProfileRow(k, count, count - inside))
     return DegreeDropProfile(f.n, r, tuple(rows))
 
 

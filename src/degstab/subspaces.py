@@ -320,24 +320,34 @@ def codim_rank(n: int, forms) -> np.ndarray:
     piv = keyed >> n
     flat = keyed & ((1 << n) - 1)
     low = np.int64(1) << piv
-    pivot_mask = np.bitwise_or.reduce(low, axis=1)
+    pivot_mask = np.zeros(len(flat), dtype=np.int64)
+    for column in low.T:
+        pivot_mask |= column
     if ((flat & pivot_mask[:, None]) != low).any() or (np.bitwise_count(pivot_mask) != k).any():
         raise EnumerationRangeError("forms are not the RREF annihilator of a codim-k subspace")
+    return _rank(n, flat, piv).reshape(forms.shape[:-1])
+
+
+def _rank(n: int, rows: np.ndarray, piv: np.ndarray) -> np.ndarray:
+    """codim_rank's arithmetic, unchecked: the positions of the spaces whose
+    RREF annihilator rows, sorted by pivot, are the int64 rows of `rows`
+    (shape (N, k)), with the pivot columns `piv` (int64, same shape)."""
+    k = rows.shape[1]
     off = _rank_table(n, k)
-    rank = np.zeros(len(flat), dtype=np.int64)
+    rank = np.zeros(len(rows), dtype=np.int64)
     shift = lo = 0
     for i in range(k):
         p = piv[:, i]
         # g_i: the bits above p_i, less the (zero) columns of the later
         # pivots, removed from the top down
-        v = flat[:, i] >> (p + 1)
+        v = rows[:, i] >> (p + 1)
         for j in range(k - 1, i, -1):
             below = (np.int64(1) << (piv[:, j] - p - 1)) - 1
             v = (v & below) | ((v >> 1) & ~below)
         rank += (off[k - i].take(lo * (n + 1) + p) + v) << shift
         shift += n - k + i - p
         lo = p + 1
-    return rank.reshape(forms.shape[:-1])
+    return rank
 
 
 def codim_unrank(n: int, k: int, ranks) -> np.ndarray:

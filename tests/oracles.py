@@ -221,11 +221,15 @@ def drop_profile(n: int, monomials: Sequence[int], k_max: int) -> list[tuple[int
 @lru_cache(maxsize=None)
 def all_codim_spaces(n: int, k: int) -> list[frozenset[int]]:
     """Every co-dimension-k linear subspace of F_2^n, one span of
-    annihilator forms per space."""
+    annihilator forms per space: each k-dimensional span is a
+    (k-1)-dimensional one plus a vector outside it."""
+    if k == 0:
+        return [frozenset()]
     seen = set()
-    for combo in combinations(range(1, 1 << n), k):
-        if f2_rank(combo) == k:
-            seen.add(span_set(combo))
+    for span in all_codim_spaces(n, k - 1):
+        for v in range(1, 1 << n):
+            if v not in span:
+                seen.add(span | {v} | {v ^ s for s in span})
     return sorted(seen, key=sorted)
 
 

@@ -245,7 +245,13 @@ def test_lift_matches_oracle_spans_exhaustively():
     rng = random.Random(14)
     fives = [random_nonconstant(rng, 5) for _ in range(4)]
     fives += [sparse_homogeneous(rng, 5, r, 4) for r in (2, 3, 4)]
-    for f in [*_small_functions(), *fives]:
+    # normal spans of dimension d = 1 and 2 with new_2 > 0, so the codim-3
+    # union takes children, outside the closed term, of drops that miss N
+    spanned = [
+        (ANF.from_monomials(5, [0b00111, 0b01101, 0b11010]), 1),
+        (ANF.from_monomials(6, [0b001111, 0b011110, 0b111001, 0b111100]), 2),
+    ]
+    for f in [*_small_functions(), *fives, *(f for f, _ in spanned)]:
         n = f.n
         expected = oracles.drop_profile(n, f.monomials(), n)
         got = profile(f, k_max=n)
@@ -255,6 +261,23 @@ def test_lift_matches_oracle_spans_exhaustively():
             assert has_degree_drop_space(f, k) == (count > 0), (f, k)
         if f.degree() != 0:
             assert deg_stab(f) == next(k for k, count, _ in expected if count) - 1, f
+    for f, d in spanned:
+        rows = profile(f, 2).rows
+        assert rows[0].count == 2**d - 1 and rows[1].new > 0, f
+
+
+def test_meeting_counts_the_annihilators_that_meet_a_span():
+    # the closed term of `new`, against a brute count over every annihilator
+    rng = random.Random(24)
+    for n in range(1, 7):
+        for d in range(n + 1):
+            basis: list[int] = []
+            while len(basis) < d:
+                basis = oracles.independent_rows(basis + [rng.randrange(1, 1 << n)])
+            span = oracles.span_set(basis)
+            for k in range(1, n + 1):
+                brute = sum(1 for s in oracles.all_codim_spaces(n, k) if s & span)
+                assert degreedrop._meeting(n, k, d) == brute, (n, k, d)
 
 
 def test_profile_new_matches_the_containment_oracle():
@@ -457,6 +480,12 @@ def test_child_count_marks_and_sorts_alike(monkeypatch):
     rng = random.Random(23)
     funcs = [random_degree(rng, n, r) for n, r in ((6, 2), (7, 3), (8, 3))]
     funcs.append(ANF.from_monomials(8, [0x3F]))
+    # a normal span of dimension 1 whose codim-2 drops keep children
+    spanned = ANF.from_monomials(7, [0b00111, 0b01101, 0b11010])
+    normals = degreedrop.hyperplane_normal_basis(7, spanned.monomials())
+    drops = np.array([s.forms for s in enumerate_degree_drop(spanned, 2)])
+    assert len(normals) == 1 and degreedrop._child_count(drops, 7, normals) > 0
+    funcs.append(spanned)
     marked = [profile(f, 3) for f in funcs]
     monkeypatch.setattr(degreedrop, "_SEEN_BYTES", 0)
     assert [profile(f, 3) for f in funcs] == marked

@@ -126,6 +126,16 @@ def test_profile_is_affine_invariant(case):
 
 @PROPERTY
 @given(affine_images())
+def test_codim1_row_equals_the_lift(case):
+    # profile reads row 1 off the normal basis; degree_drop_count lifts it
+    # from the codim-0 restriction through the batched normal kernel
+    _, _, g = case
+    (row,) = profile(g, 1).rows
+    assert row.count == row.new == degreedrop.degree_drop_count(g, 1)
+
+
+@PROPERTY
+@given(affine_images())
 def test_new_codim2_closed_form(case):
     # a codim-2 space is not new iff its annihilator meets the normal space N,
     # and 4**R_1 [n-R_1 2]_2 of the [n 2]_2 annihilators meet it only in 0

@@ -42,10 +42,14 @@ It prints one JSON object with seven keys:
   new_step  profile's `new` step over the ten NEW_STEP_* functions, one
           sample per --repeat (after one warm-up pass): the seconds of a
           pass of degreedrop.profile(f, 3) over all ten (pass_s), of the
-          degreedrop._child_count calls inside it (child_count_s), of
-          the subspaces.codim_rank calls inside those (codim_rank_s) and,
-          in trees that decode a scan's drops by rank, of the
-          subspaces.codim_unrank calls (codim_unrank_s)
+          degreedrop._child_count calls inside it (child_count_s), and of
+          each NEW_STEP_CLOCKS name that the tree's degreedrop module
+          holds: subspaces.codim_rank (codim_rank_s, in trees that rank the
+          children through it), subspaces._rank (rank_s, the unchecked rank
+          arithmetic), hyperplane_normal_basis (hyperplane_normal_basis_s,
+          0 where profile does not read the normal span) and
+          subspaces.codim_unrank (codim_unrank_s, in trees that decode a
+          scan's drops by rank)
   spaces  for N in SPACE_VARS and each call in SPACE_CALLS, one sample per
           --repeat: wall_s and peak_rss_mb as for analyze, of a fresh
           interpreter that imports degstab, builds x1 and x1*...*xN, and
@@ -59,10 +63,10 @@ It prints one JSON object with seven keys:
 
 The stages call private scan functions that the tree's degreedrop module has
 had since the substitution route (08695fa), passing m to the kernel where
-its signature names it; new_step rebinds two it has had since subspaces were
-ranked (c01b6a0) and codim_unrank where it exists; the kernels, spaces and
-enumerate keys call only public functions, and analyze only the CLI; so one
-copy of this file measures those older trees too.
+its signature names it; new_step rebinds each of NEW_STEP_CLOCKS that the
+module has (_child_count since subspaces were ranked, c01b6a0); the
+kernels, spaces and enumerate keys call only public functions, and analyze
+only the CLI; so one copy of this file measures those older trees too.
 """
 
 from __future__ import annotations
@@ -104,6 +108,8 @@ RESTRICT = ("_substituted", "_gathered")
 # and five of its cubics
 NEW_STEP_COMPLEMENTS = ("f13", "f14", "f17", "f20", "f27")
 NEW_STEP_CUBICS = ("f2", "f3", "f7", "f12", "f30")
+# the calls new_step clocks inside a profile pass, where degreedrop has them
+NEW_STEP_CLOCKS = ("_child_count", "codim_rank", "_rank", "hyperplane_normal_basis", "codim_unrank")
 # variables of the single monomial that the analyze key reports on
 ANALYZE_VARS = (16, 20, 22)
 # the spaces key: variables, and the calls on x1 and on full = x1*...*xN,
@@ -183,7 +189,7 @@ def new_step_times(repeat: int) -> dict[str, list[float]]:
     spent = {}
     clocks = {
         name: f"{name.lstrip('_')}_s"
-        for name in ("_child_count", "codim_rank", "codim_unrank")
+        for name in NEW_STEP_CLOCKS
         if hasattr(degreedrop, name)
     }
     saved = {name: getattr(degreedrop, name) for name in clocks}
