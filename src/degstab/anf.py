@@ -92,6 +92,8 @@ def _check_directions(n: int, directions: Iterable[int]) -> list[int]:
 
 def _check_vars(n: int) -> None:
     """Reject n before anything allocates its 2**n bytes."""
+    if not isinstance(n, (int, np.integer)):
+        raise InvalidLengthError(f"n must be an int, got {type(n).__name__} {n!r}")
     if not 0 <= n <= MAX_VARS:
         raise InvalidLengthError(
             f"an ANF takes 2**n bytes and is limited to {MAX_VARS} variables, got n={n}"

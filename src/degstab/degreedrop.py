@@ -5,11 +5,11 @@ Whether A is degree-drop depends only on its underlying linear space, so all
 enumeration here runs over linear subspaces (canonical annihilator forms).
 
 The scan engine restricts one function f of degree r to many subspaces V at
-once and keeps of each f|_V only its part: the weight-r ANF coefficients,
-gathered once per piece of restrictions. Substitution never raises a
-degree, so V drops iff its part is zero, and the lift's normal kernel
-reads the same part. Likewise k fast directions have a k-fold derivative
-of degree <= r - k (each derivative lowers the degree), flagged when its
+once and carries of each f|_V only its part: the weight-r ANF
+coefficients, built from its parent's (One pivot, below). Restriction never
+raises a degree, so V drops iff its part is zero, and the lift's normal
+kernel reads the same part. Likewise k fast directions have a k-fold
+derivative of degree <= r - k (each derivative lowers the degree), flagged when its
 weight r - k is zero (empty if k > r). It runs in chunks of the enumeration
 order. An existence query (has_degree_drop_space, and through it
 k_membership and deg_stab) stops at the first chunk with a drop, so its
@@ -28,10 +28,15 @@ first space, and forms are decoded (subspaces.codim_unrank) only where read.
   U, a a set of coordinates above p. Write g = A + x_p B with A and B free
   of x_p. Then g|_S = A + sum over c in a of x_c B, and the ANF of x_c B
   has coefficient B_T + B_(T-c) at every T that holds c (from
-  x_c x^T = x_c x^(T-c) = x^T) and 0 at every other T. Dropping x_p from
-  the coefficient index moves only the positions above p. The 2**s such S
-  of U, s = m - 1 - p, share A and B, and their rows are the XOR span of
-  the s rows x_c B over A: one XOR of 64-bit words per row, by doubling.
+  x_c x^T = x_c x^(T-c) = x^T) and 0 at every other T. As deg g <= r, B's
+  weight-r coefficients are g's weight-(r+1) ones, x_p x^T with |T| = r:
+  zero. So at weight r, g|_S has A_T + sum over c in a ∩ T of B_(T-c),
+  read off g's part alone: a level carries C(m, r) coefficients per space,
+  not 2**m. Dropping x_p from the index moves only the positions above p.
+  The 2**s such S of U, s = m - 1 - p, share A and B: two gathers by index
+  maps cached per (m, r, p) read A_T and E_c(T) = B_(T-c), or 0 where T
+  lacks c, and the S whose free bits form g has A_T + parity(w_T & g) at
+  T, w_T packing the E_c(T): one row of a cached parity table per T.
 * Order. Canonical order is lexicographic in the pivots p_1 < .. < p_k, so
   the codim-k spaces with lowest pivot p_1 are the hyperplanes with pivot
   p_1 of the codim-(k-1) spaces whose pivots all exceed p_1, a suffix of
@@ -41,10 +46,10 @@ first space, and forms are decoded (subspaces.codim_unrank) only where read.
   children in canonical order: n - k + 1 calls per level, more where the
   children of a suffix exceed one chunk.
 
-A parent level that fits _POINTS bytes, in a scan that is not ramped, is
-built once and held; any other is streamed again for each p_1 in pieces
-of at most _POINTS points. No level is kept from one co-dimension's scan
-to the next.
+A parent level of at most _POINTS points, 2**m per space, in a scan that
+is not ramped, is built once and held; any other is streamed again for
+each p_1 in pieces of at most _POINTS points. No level is kept from one
+co-dimension's scan to the next.
 
 Hyperplane normals and fast points need no scan. Both are GF(2) kernels read
 off the top part f_r of a function f of degree r >= 0, with l_a = sum a_i x_i:
@@ -131,7 +136,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import f2
-from .anf import _LANES, ANF, NEG_INF, Degree, _check_directions, mobius_inplace
+from .anf import ANF, NEG_INF, Degree, _check_directions, mobius_inplace
 from .bits import check_mask, popcount_table, xor_points
 from .errors import (
     ConstantFunctionError,
@@ -151,8 +156,8 @@ from .subspaces import (
 )
 
 _CHUNK = 8192
-# Points restricted per scan chunk (8192 rows at m = 6). Sized so that the
-# lift's wider codim-(k-1) rows take no more memory than the codim-k scan did.
+# Points per scan chunk, 2**m per restriction to dimension m (8192 rows at
+# m = 6), although a restriction's part holds only C(m, r) coefficients.
 _POINTS = 1 << 19
 # Doublings from an existence query's first chunk up to _POINTS.
 _RAMP = 4
@@ -213,25 +218,24 @@ def _drop_chunks(f: ANF, k: int, ramp: bool = False):
 
     Row i of a chunk is the subspace of rank start + i (codim_unrank names
     it), and its part holds the restriction's weight-r ANF coefficients,
-    r = deg f, gathered once per restriction piece; the space drops iff
-    they are all zero. Chunks are sized by _chunk_rows; a ramped scan whose whole
-    level fits one full chunk reads it as that one chunk.
+    r = deg f, monomial-major (part.T is C-contiguous); the space drops iff
+    they are all zero. Chunks are sized by _chunk_rows; a ramped scan whose
+    whole level fits one full chunk reads it as that one chunk.
     """
     if not 0 <= k <= f.n:
         raise EnumerationRangeError(f"co-dimension must lie in 0..n={f.n}, got {k}")
-    at = _weight(f.n - k, _int_degree(f))
+    r = _int_degree(f)
     ramp = ramp and count_codim(f.n, k) << (f.n - k) > _POINTS
-    parts = (rows[:, at] for rows in _restricted(f, k, 0, ramp))
     start = 0
-    for part in _regroup(parts, _chunk_rows(f.n - k, ramp)):
+    for part in _regroup(_restricted(f, r, k, 0, ramp), _chunk_rows(f.n - k, ramp)):
         yield start, ~part.any(axis=1), part
         start += len(part)
 
 
 def _regroup(pieces: Iterable[np.ndarray], sizes: Iterator[int]) -> Iterator[np.ndarray]:
-    """Arrays, in order, regrouped along their first axis into chunks whose
-    lengths are read from sizes in turn, the last one shorter. A chunk that
-    lies in one piece is a view of it."""
+    """Monomial-major arrays, in order, regrouped along their first axis
+    into chunks whose lengths are read from sizes in turn, the last one
+    shorter. A chunk that lies in one piece is a view of it."""
     parts: list[np.ndarray] = []
     have = 0
     size = next(sizes)
@@ -249,99 +253,96 @@ def _regroup(pieces: Iterable[np.ndarray], sizes: Iterator[int]) -> Iterator[np.
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """The parts, concatenated along their first axis, monomial-major."""
+    return parts[0] if len(parts) == 1 else np.concatenate([p.T for p in parts], axis=1).T
 
 
-def _restricted(f: ANF, k: int, lo: int, ramp: bool) -> Iterator[np.ndarray]:
-    """ANF rows of f's restrictions to the codim-k spaces whose pivots are
-    all at least lo, in canonical order, in pieces no longer than the chunks
-    of _chunk_rows. Level 0 is f's coefficients. For p = lo .. n - k, the
-    parents are the last [n-p-1 k-1]_2 rows of level k - 1, those with
-    every pivot above p (see the module docstring): sliced from that level
-    when it is held, streamed again otherwise.
+def _restricted(f: ANF, r: int, k: int, lo: int, ramp: bool) -> Iterator[np.ndarray]:
+    """Weight-r slices of f's restrictions to the codim-k spaces whose
+    pivots are all at least lo, r = deg f, in canonical order, monomial-major
+    pieces no longer than _chunk_rows' chunks. Level 0 is f's top part. For
+    p = lo .. n - k, the parents are the last [n-p-1 k-1]_2 rows of level
+    k - 1, whose pivots all exceed p (module docstring, Order): sliced from
+    that level when it is held, streamed again otherwise.
     """
     if k == 0:
-        yield f.coeffs.reshape(1, -1)
+        yield f.coeffs[_weight(f.n, r)].reshape(1, -1)
         return
     n, m = f.n, f.n - k + 1  # m: the dimension of a parent
     limits = _chunk_rows(m - 1, ramp)
     held = not ramp and count_codim(n, k - 1) << m <= _POINTS
     if held:
-        level = np.concatenate(list(_restricted(f, k - 1, lo + 1, False)))
+        level = _join(list(_restricted(f, r, k - 1, lo + 1, False)))
     for p in range(lo, m):
         count = count_codim(n - p - 1, k - 1)
-        for rows in [level[len(level) - count :]] if held else _restricted(f, k - 1, p + 1, ramp):
-            yield from _children(rows, p, limits)
+        for rows in [level[len(level) - count :]] if held else _restricted(f, r, k - 1, p + 1, ramp):
+            yield from _children(rows, m, r, p, limits)
 
 
-def _children(rows: np.ndarray, p: int, limits: Iterator[int]) -> Iterator[np.ndarray]:
-    """The _substituted rows of the hyperplanes with pivot p of the spaces
-    with ANF rows `rows`, in pieces of at most next(limits) rows: whole
-    parents when all 2**s of a parent's fit, else one parent's in pieces of
-    2**q from a multiple of 2**q on."""
-    s = rows.shape[1].bit_length() - 2 - p
+def _children(rows: np.ndarray, m: int, r: int, p: int, limits: Iterator[int]) -> Iterator[np.ndarray]:
+    """The _substituted slices of the hyperplanes with pivot p of the spaces
+    on m variables with weight-r slices `rows`, in pieces of at most
+    next(limits) rows: whole parents when all 2**s of a parent's fit, else
+    one parent's in pieces of 2**q from a multiple of 2**q on."""
+    s = m - 1 - p
     i = g = 0
     while i < len(rows):
         size = next(limits)
         if not g and size >> s:
-            yield _substituted(rows[i : i + (size >> s)], p, 0, 1 << s)
+            yield _substituted(rows[i : i + (size >> s)], m, r, p, 0, 1 << s)
             i += size >> s
             continue
         size = min(size, g & -g or size)
-        yield _substituted(rows[i : i + 1], p, g, size)
+        yield _substituted(rows[i : i + 1], m, r, p, g, size)
         g = (g + size) % (1 << s)
         i += not g
 
 
-def _words(rows: np.ndarray) -> np.ndarray:
-    """The rows as 64-bit words when their length allows, for wide XORs."""
-    return rows.view(np.uint64) if rows.shape[-1] % 8 == 0 else rows
+@lru_cache(maxsize=None)
+def _pivot_maps(m: int, r: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gathers for _substituted from a parent's weight-r slice on m
+    variables, a zero sentinel appended at C(m, r): per child position T
+    (_weight(m - 1, r) order) that of A_T, and per j < m - 1 - p that of
+    B_(T-c), c = p + j, or the sentinel where T lacks c. Read-only."""
+    parent, child = _weight(m, r), _weight(m - 1, r)
+    low = child & ((1 << p) - 1)
+    t = (child ^ low) << 1 | low  # T in the parent's coordinates
+    c = 1 << np.arange(p + 1, m)[:, None]
+    a = np.searchsorted(parent, t)
+    b = np.where(t & c, np.searchsorted(parent, t ^ c | 1 << p), len(parent))
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
 
-def _times_variable(b: np.ndarray, c: int, t: np.ndarray) -> np.ndarray:
-    """ANF rows of x_c * B into t, from B's rows b, c a position in their
-    index: coefficient S is b_S + b_(S-c) when c is in S, and 0 otherwise,
-    as x_c x^T = x^(T+c) is x^S for T = S and for T = S - c. b and t are
-    _words views; below c = 3 the step runs inside each 64-bit word, by a
-    shift and a lane mask as in anf.mobius_inplace."""
-    if t.dtype == np.uint64:  # 2**3 coefficients per word
-        if c < 3:
-            np.left_shift(b, np.uint64(8 << c), out=t)
-            t ^= b
-            t &= np.uint64(_LANES[c])
-            return t
-        c -= 3
-    bv = b.reshape(len(b), -1, 2, 1 << c)
-    tv = t.reshape(bv.shape)
-    tv[:, :, 0] = 0
-    np.bitwise_xor(bv[:, :, 1], bv[:, :, 0], out=tv[:, :, 1])
-    return t
+@lru_cache(maxsize=None)
+def _parity(q: int) -> np.ndarray:
+    """Read-only; row w < 2**(q+1) holds parity(w & (2**q + g)) at g < 2**q."""
+    w = np.arange(2 << q, dtype=np.min_scalar_type((2 << q) - 1))
+    table = np.bitwise_count(w[:, None] & w[1 << q :]) & 1
+    table.setflags(write=False)
+    return table
 
 
-def _substituted(rows: np.ndarray, p: int, first: int, size: int) -> np.ndarray:
-    """ANF rows of the hyperplanes with pivot p of the spaces with ANF rows
-    `rows`, in their m coordinates (the one-pivot rule of the module
-    docstring): per row, those with the free-bit integers g = first ..
-    first + size - 1, size a power of two and first a multiple of it. Bit j
-    of g is the form's bit at coordinate p + 1 + j, position p + j once x_p
-    leaves the index. From A, the bits of `first` above size add their
-    x_(p+j) B; each bit below doubles the rows by an XOR with x_(p+j) B.
-    """
-    count, half = len(rows), rows.shape[1] // 2
-    split = rows.reshape(count, -1, 2, 1 << p)
-    b = _words(np.ascontiguousarray(split[:, :, 1]).reshape(count, half))
-    t = np.empty_like(b)
-    out = np.empty((count, size, half), dtype=np.uint8)
-    out[:, 0].reshape(split[:, :, 0].shape)[...] = split[:, :, 0]
-    words = _words(out)
+def _substituted(rows: np.ndarray, m: int, r: int, p: int, first: int, size: int) -> np.ndarray:
+    """Weight-r slices, monomial-major, of the hyperplanes with pivot p of
+    the spaces on m variables with weight-r slices `rows` (module
+    docstring, One pivot): per row, those whose free bits g run from
+    `first`, a multiple of size = 2**q, to first + size - 1; bit j of g is
+    the form's at coordinate p + 1 + j. first's bits add their rows E_j to
+    A; A and the q rows below pack into w, whose _parity row holds the
+    children's bits."""
+    a, b = _pivot_maps(m, r, p)
     q = size.bit_length() - 1
-    for j in range(q, first.bit_length()):
-        if first >> j & 1:
-            words[:, 0] ^= _times_variable(b, p + j, t)
+    parent = np.concatenate([rows.T, np.zeros((1, len(rows)), dtype=np.uint8)])
+    e = parent[b[[j for j in range(len(b)) if (first | size - 1) >> j & 1]]]
+    w = parent[a].astype(np.min_scalar_type((2 << q) - 1))
+    for row in e[q:]:
+        w ^= row
+    w <<= q
     for j in range(q):
-        xc_b = _times_variable(b, p + j, t)[:, None]
-        np.bitwise_xor(words[:, : 1 << j], xc_b, out=words[:, 1 << j : 2 << j])
-    return out.reshape(count * size, half)
+        w |= np.left_shift(e[j], j, dtype=w.dtype)
+    return _parity(q)[w].reshape(len(a), len(rows) * size).T
 
 
 @lru_cache(maxsize=None)
@@ -376,21 +377,15 @@ def _normal_kernel_dims(part: np.ndarray, m: int, r: int) -> np.ndarray:
     A row that is zero (a restriction that already drops) has no condition,
     so its kernel is all of F_2^m.
 
-    The elimination clears the top bit first, j = m - 1 .. 0, and keeps
-    every condition below 2**(j + 1). The largest condition is the pivot,
-    zeroed when it lacks bit j (then no condition has it). Each condition c
-    becomes min(c, c ^ pivot): if c holds bit j, c ^ pivot < 2**j < c, and
-    if not, c ^ pivot >= 2**j > c, so the min clears bit j by one row
-    operation and touches nothing else. The pivot row itself becomes 0 once
-    it has been counted; without the zeroing, a column with no pivot would
-    clear a condition that was never counted.
+    The elimination is the module docstring's (Kernel.). The pivot row
+    itself becomes 0 once it has been counted; without the zeroing, a
+    column with no pivot would clear a condition that was never counted.
     """
     src, bit = _normal_conditions(m, r)
     if not src.size:
         return np.full(len(part), m)
-    # one row per monomial and one column per space, so that every step
-    # below runs along the spaces; _drop_chunks's gather lays its part out
-    # this way and np.concatenate keeps it, so there part.T is no copy
+    # one row per monomial and one column per space, so that every step below
+    # runs along the spaces; _drop_chunks's parts make part.T no copy
     coeffs = part.T
     conds = coeffs[src[0]] * bit[0][:, None]
     for s, b in zip(src[1:], bit[1:]):
@@ -760,7 +755,7 @@ def dd_hyperplane_normals(f: ANF) -> frozenset[int]:
 
 def dd_hyperplane_normal_space(f: ANF, threads: int = 1) -> Span:
     """The span of the degree-drop hyperplane normals. `threads` has no
-    effect; it stays while perfbench passes it (ROADMAP item 3)."""
+    effect; it stays while perfbench passes it (ROADMAP item 12)."""
     return Span(f.n, hyperplane_normal_basis(f.n, _top(f)))
 
 

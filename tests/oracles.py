@@ -3,10 +3,11 @@
 Everything here is deliberately slow and simple: direct monomial
 evaluation, textbook subset-sum coefficient extraction, symbolic
 substitution over sets of monomials, and span enumeration by brute
-force. The one numpy routine, gathered_rows, is the truth-table gather and
-Moebius transform, a route the scan engine does not take, batched so that
-whole scans at n = 9..12 can be checked. Nothing is shared with the code
-under test; monomials are plain integer masks with bit i-1 standing for
+force. The two numpy routines build whole ANF rows of restrictions, batched
+so that whole scans at n = 9..12 can be checked: gathered_rows by the
+truth-table gather and Moebius transform, and substituted_rows by one-pivot
+substitution on full rows, where the scan engine carries only the weight-r
+part. Nothing is shared with the code under test; monomials are plain integer masks with bit i-1 standing for
 variable x_i.
 """
 
@@ -346,6 +347,67 @@ def gathered_rows(n: int, monomials: Iterable[int], k: int) -> np.ndarray:
         stage = rows.reshape(len(rows), -1, 2, 1 << j)
         stage[:, :, 1] ^= stage[:, :, 0]
     return rows
+
+
+# -- restriction rows by one-pivot substitution --------------------------------
+
+
+def _gaussian(n: int, k: int) -> int:
+    """The number of k-dimensional subspaces of F_2^n, by the product formula."""
+    num = den = 1
+    for i in range(k):
+        num *= (1 << (n - i)) - 1
+        den *= (1 << (i + 1)) - 1
+    return num // den if 0 <= k <= n else 0
+
+
+def _times_variable(b: np.ndarray, c: int) -> np.ndarray:
+    """ANF rows of x_c * B from B's rows b, c a position in their index:
+    coefficient S is b_S + b_(S-c) when c is in S, and 0 otherwise, as
+    x_c x^T = x^(T+c) is x^S for T = S and for T = S - c."""
+    bv = b.reshape(len(b), -1, 2, 1 << c)
+    t = np.zeros_like(bv)
+    np.bitwise_xor(bv[:, :, 1], bv[:, :, 0], out=t[:, :, 1])
+    return t.reshape(b.shape)
+
+
+def substituted(rows: np.ndarray, p: int, first: int, size: int) -> np.ndarray:
+    """Full ANF rows (2**m coefficients each) of the hyperplanes with pivot p
+    of the spaces with ANF rows `rows`, in their m - 1 coordinates: per row,
+    those with the free-bit integers g = first .. first + size - 1, size a
+    power of two and first a multiple of it. Write g = A + x_p B; the
+    hyperplane x_p = sum of x_(p+1+j) over the bits j of g gives
+    A + sum of x_(p+j) B once x_p leaves the index, so each bit of `first`
+    above size adds its x_(p+j) B, and each bit below doubles the rows."""
+    count, half = len(rows), rows.shape[1] // 2
+    split = rows.reshape(count, -1, 2, 1 << p)
+    b = np.ascontiguousarray(split[:, :, 1]).reshape(count, half)
+    out = np.empty((count, size, half), dtype=np.uint8)
+    out[:, 0] = split[:, :, 0].reshape(count, half)
+    q = size.bit_length() - 1
+    for j in range(q, first.bit_length()):
+        if first >> j & 1:
+            out[:, 0] ^= _times_variable(b, p + j)
+    for j in range(q):
+        np.bitwise_xor(out[:, : 1 << j], _times_variable(b, p + j)[:, None], out=out[:, 1 << j : 2 << j])
+    return out.reshape(count * size, half)
+
+
+def substituted_rows(n: int, monomials: Iterable[int], k: int) -> np.ndarray:
+    """restriction_rows as one uint8 array, level by level from f's ANF: the
+    codim-j spaces with lowest pivot p are the hyperplanes with pivot p of
+    the codim-(j-1) spaces whose pivots all exceed p, the last
+    [n-p-1 j-1]_2 of that level, in canonical order."""
+    level = np.zeros((1, 1 << n), dtype=np.uint8)
+    for mu in monomials:
+        level[0, mu] ^= 1
+    for j in range(1, k + 1):
+        m = n - j + 1
+        level = np.concatenate([
+            substituted(level[len(level) - _gaussian(n - p - 1, j - 1) :], p, 0, 1 << (m - 1 - p))
+            for p in range(m)
+        ])
+    return level
 
 
 # -- symbolic restriction -------------------------------------------------------

@@ -76,6 +76,19 @@ def test_variable_ceiling_checked_before_allocation():
         assert peak < 1 << 20, peak  # a 2**25-byte table was never allocated
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ANF.parse(8, "123"),  # arguments swapped
+    lambda: ANF(8.0),
+    lambda: ANF.zero("8"),
+    lambda: ANF.one(None),
+    lambda: ANF.from_monomials(4.5, [1]),
+])
+def test_non_int_variable_counts_are_named(build):
+    # the range check compared n with ints and raised a bare TypeError
+    with pytest.raises(InvalidLengthError, match=r"n must be an int, got (str|float|NoneType)"):
+        build()
+
+
 def test_text_round_trip_random():
     rng = random.Random(1)
     for _ in range(200):

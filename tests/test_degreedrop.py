@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -372,33 +373,41 @@ def test_existence_scans_past_the_int64_rank_limit():
     assert str(next(enumerate_degree_drop(f, 4))) == "x1=0; x2=0; x3=0; x4=0"
 
 
+def _weight_r(f, k):
+    """The weight-r positions of an ANF row on n - k variables, r = deg f."""
+    r = int(f.degree())
+    return [t for t in range(1 << (f.n - k)) if t.bit_count() == r]
+
+
 def _scan(f, k, ramp=False):
-    """forms and drop flags of _drop_chunks and ANF rows of _restricted,
-    chunks concatenated; the forms decoded from each chunk's start rank.
-    Each chunk's part must be its rows' weight-r columns."""
-    rows = np.concatenate(list(degreedrop._restricted(f, k, 0, ramp)))
-    at = degreedrop._weight(f.n - k, int(f.degree()))
-    forms, flags = [], []
+    """forms, drop flags and parts of _drop_chunks, chunks concatenated; the
+    forms decoded from each chunk's start rank. Each chunk's part must be
+    the weight-r columns of the oracle's full rows by one-pivot
+    substitution."""
+    rows = oracles.substituted_rows(f.n, f.monomials(), k)[:, _weight_r(f, k)]
+    forms, flags, parts = [], [], []
     for start, dd, part in degreedrop._drop_chunks(f, k, ramp):
-        want = rows[start : start + len(dd), at]
+        want = rows[start : start + len(dd)]
         assert part.shape == want.shape and part.tobytes() == want.tobytes(), (f.n, k, ramp, start)
         forms.append(codim_unrank(f.n, k, start + np.arange(len(dd))))
         flags.append(dd)
-    return np.concatenate(forms), np.concatenate(flags), rows
+        parts.append(part)
+    return np.concatenate(forms), np.concatenate(flags), np.concatenate(parts)
 
 
 def _oracle_scan(f, k):
-    """forms, drop flags and ANF rows from the oracle's truth-table route."""
+    """forms, drop flags and weight-r columns of the ANF rows from the
+    oracle's truth-table route."""
     spaces = oracles.codim_forms_and_bases(f.n, k)
     forms = np.array([rows for rows, _ in spaces], dtype=np.int64).reshape(len(spaces), k)
     rows = b"".join(oracles.restriction_rows(f.n, f.monomials(), k))
     rows = np.frombuffer(rows, dtype=np.uint8).reshape(len(spaces), 1 << (f.n - k))
     degrees = [max((int(s).bit_count() for s in np.flatnonzero(row)), default=-1) for row in rows]
-    return forms, np.array(degrees) < int(f.degree()), rows
+    return forms, np.array(degrees) < int(f.degree()), rows[:, _weight_r(f, k)]
 
 
 def _assert_scans_equal(got, want, where):
-    for name, a, b in zip(("forms", "flags", "rows"), got, want):
+    for name, a, b in zip(("forms", "flags", "parts"), got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, *where)
 
 
@@ -423,25 +432,67 @@ def test_restriction_routes_match_the_truth_table_oracle(monkeypatch):
 
 
 def test_restriction_routes_agree_on_wider_scans():
-    # whole scans against the oracle's truth-table gather, where the
-    # point-by-point oracle would take too long
+    # whole and ramped scans against the oracle's truth-table gather, where
+    # the point-by-point oracle would take too long
     for n, k, text in (
         (9, 2, "123+456+789+147+258"),
         (10, 1, "x1*x2*x3+x4*x5*x6+x7*x8*x9+x1*x10"),
         (12, 1, "x1*x2*x3*x4+x5*x6*x7*x8+x9*x10*x11*x12+x1*x5*x9*x12"),
     ):
         f = ANF.parse(text, n)
-        forms, _, rows = _scan(f, k)
         spaces = oracles.codim_forms_and_bases(n, k)
-        assert forms.tolist() == [list(rows) for rows, _ in spaces], (n, k)
-        want = oracles.gathered_rows(n, f.monomials(), k)
-        assert rows.shape == want.shape and rows.tobytes() == want.tobytes(), (n, k)
+        want = oracles.gathered_rows(n, f.monomials(), k)[:, _weight_r(f, k)]
+        for ramp in (False, True):
+            forms, _, parts = _scan(f, k, ramp)
+            assert forms.tolist() == [list(rows) for rows, _ in spaces], (n, k, ramp)
+            assert parts.shape == want.shape and parts.tobytes() == want.tobytes(), (n, k, ramp)
+
+
+def test_pivot_maps_match_the_full_row_step():
+    # the one-pivot identity on weight-r slices, against the full-row step:
+    # a parent of degree <= r, its 2**s children built whole, their
+    # weight-r columns read off
+    rng = random.Random(26)
+    for m in range(1, 9):
+        for r in range(m + 1):
+            parent_at = [t for t in range(1 << m) if t.bit_count() == r]
+            child_at = [t for t in range(1 << (m - 1)) if t.bit_count() == r]
+            for p in range(m):
+                s = m - 1 - p
+                row = np.array([[t.bit_count() <= r and rng.random() < 0.5 for t in range(1 << m)]], dtype=np.uint8)
+                want = oracles.substituted(row, p, 0, 1 << s)[:, child_at]
+                a, b = degreedrop._pivot_maps(m, r, p)
+                ext = np.append(row[0, parent_at], np.uint8(0))
+                got = []
+                for g in range(1 << s):
+                    child = ext[a].copy()
+                    for j in range(s):
+                        if g >> j & 1:
+                            child ^= ext[b[j]]
+                    got.append(child)
+                got = np.array(got, dtype=np.uint8).reshape(want.shape)
+                assert np.array_equal(got, want), (m, r, p)
+                assert np.array_equal(degreedrop._substituted(row[:, parent_at], m, r, p, 0, 1 << s), want)
+
+
+def test_scan_parts_are_monomial_major(monkeypatch):
+    # the normal kernel reads part.T along the spaces without a copy, in a
+    # held scan and in streamed ones, whose chunks straddle pieces
+    f = ANF.parse("123+456+178+238", 8)
+    for points, ramps in ((1 << 19, (False,)), (1 << 9, (False, True)), (1 << 12, (False, True))):
+        monkeypatch.setattr(degreedrop, "_POINTS", points)
+        # the codim-1 parents are held only at the default budget
+        assert (count_codim(8, 1) << 7 <= points) == (points == 1 << 19)
+        for ramp in ramps:
+            for _, _, part in degreedrop._drop_chunks(f, 2, ramp):
+                assert part.T.flags.c_contiguous, (points, ramp)
 
 
 def test_benchmarked_scans_build_their_parent_level_once(monkeypatch):
-    # catalog-n8's profile steps scan (8, 2), stream-n9's count (9, 2). Each
-    # holds its codim-1 level, built from f by one call per pivot 1..n-1; a
-    # parent level streamed again per pivot would take n(n-1)/2 such calls
+    # catalog-n8's profile steps scan (8, 2), stream-n9's count (9, 2), both
+    # of a cubic. Each holds its codim-1 level, built from f's top part, a
+    # slice of C(n, 3) coefficients, by one call per pivot 1..n-1; a parent
+    # level streamed again per pivot would take n(n-1)/2 such calls
     step = degreedrop._substituted
     for n, k, text in ((8, 2, "123+456+178+238"), (9, 2, "123+456+789+147+258")):
         widths = []
@@ -453,7 +504,7 @@ def test_benchmarked_scans_build_their_parent_level_once(monkeypatch):
         monkeypatch.setattr(degreedrop, "_substituted", counted)
         list(degreedrop._drop_chunks(ANF.parse(text, n), k))
         monkeypatch.undo()
-        assert widths.count(1 << n) == n - 1, (n, k, widths)
+        assert widths.count(comb(n, 3)) == n - 1, (n, k, widths)
         assert len(widths) < 3 * n, (n, k, widths)
 
 

@@ -8,13 +8,17 @@ It prints one JSON object with seven keys:
 
   stages  for each (n, k) in STAGES, over a full degreedrop._drop_chunks(f, k)
           scan of a fixed function f of degree r, one sample per --repeat
-          (the first fills the caches and is dropped):
+          (the first fills the caches and is dropped); f is parsed from
+          its text, or for a label in DENSE is a dense top part:
             scan_s        the whole scan: restriction rows, drop flags, chunks
             restrict_s    time inside the restriction step, and
             restrict_rows the rows it returned: degreedrop._substituted,
                           the one-pivot step (in older trees also the
                           substitution from f's ANF, under the same name,
-                          and the truth-table gather, degreedrop._gathered)
+                          and the truth-table gather, degreedrop._gathered),
+                          counted by len(), so a row counts once whether it
+                          carries C(m, r) weight-r coefficients or, in trees
+                          before the slice step, all 2**m
             kernel_s      the normal kernel on each chunk's weight-r part
                           (whole ANF rows in trees whose scan yields them),
                           outside scan_s; it runs per chunk, as in the lift,
@@ -91,7 +95,9 @@ from degstab.subspaces import count_codim
 # codim-1 scan at the widest rows the benchmark reaches, two small scans
 # (6, 2) and (7, 3), as criterion 9 and the exhaustive tests make, a
 # codim-1 scan whose hyperplanes come in pieces of one parent's (16, 1),
-# and a codim-2 scan whose parent level is streamed and not held (11, 2)
+# a codim-2 scan whose parent level is streamed and not held (11, 2), and
+# dense top parts, whose parts are mostly nonzero: (12, 1) of a quartic
+# and (12, 2) of a cubic
 STAGES = (
     (9, 2, "123+456+789+147+258"),
     (8, 2, "123+456+178+238"),
@@ -101,7 +107,12 @@ STAGES = (
     (7, 3, "123+456+147"),
     (16, 1, "x1*x2*x3*x4+x5*x6*x7*x8+x9*x10*x11*x12+x13*x14*x15*x16"),
     (11, 2, "x1*x2*x3+x4*x5*x6+x7*x8*x9+x10*x11*x1"),
+    (12, 1, "dense quartic"),
+    (12, 2, "dense cubic"),
 )
+# the dense stage functions, by label and degree r: each degree-r monomial
+# on n variables kept with probability 1/2, drawn from a seed fixed by n, r
+DENSE = {"dense quartic": 4, "dense cubic": 3}
 # the restriction step; trees before the one-pivot step also gathered
 RESTRICT = ("_substituted", "_gathered")
 # the new_step functions at n = 8: catalog-n8's five quintic complements,
@@ -148,8 +159,17 @@ def _timed(fn, key: str, into: dict):
     return wrapper
 
 
+def _stage_function(n: int, text: str) -> ANF:
+    if text not in DENSE:
+        return ANF.parse(text, n)
+    r = DENSE[text]
+    rng = random.Random(f"bench_scan:dense{n},{r}")
+    layer = [sum(1 << v for v in c) for c in combinations(range(n), r)]
+    return ANF.from_monomials(n, [m for m in layer if rng.random() < 0.5])
+
+
 def stage_times(n: int, k: int, text: str) -> dict[str, float]:
-    f = ANF.parse(text, n)
+    f = _stage_function(n, text)
     r = int(f.degree())
     out = dict.fromkeys(("scan_s", "restrict_s", "kernel_s"), 0.0)
     out.update(restrict_rows=0)
@@ -349,7 +369,7 @@ def main() -> int:
     stages = {}
     for n, k, text in STAGES:
         samples = [stage_times(n, k, text) for _ in range(args.repeat + 1)][1:]
-        stages[f"{n},{k}"] = {
+        stages[f"{n},{k}" + (f" {text}" if text in DENSE else "")] = {
             "function": text,
             "rows": count_codim(n, k),
             **{key: [round(s[key], 5) for s in samples] for key in samples[0]},
