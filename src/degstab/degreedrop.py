@@ -117,10 +117,20 @@ f|_S = g|_{a.y=0}.
   drops that miss N| members, and new_k = count_k less that. The children
   of U are U's annihilator plus one form a on U's free (non-pivot)
   columns, 2**m - 1 of them, and A_U + <a> misses N iff A_U does and a
-  lies outside A_U + N. A child is named by its rank in the canonical
-  order (subspaces._rank), so the last term counts distinct int64s. At
-  k = 2 each codim-1 drop's annihilator is its normal, in N, so no child
-  is built.
+  lies outside A_U + N. At k = 2 each codim-1 drop's annihilator is its
+  normal, in N, so no drop is expanded. A child's rank (subspaces.
+  codim_rank) is read off U's: U's pivot set q_0 < .. < q_(j-1) holds
+  consecutive ranks, and U's place packs its rows' free bits g_i. Let a's
+  bits on U's f = n - j free columns be t = 2**e (2h + 1): its lowest bit
+  l is free column e, z_i = q_i - i columns below q_i are free, and the
+  pos = l - e pivots below l are those with z_i <= e. a has no bit at a
+  pivot and rows from pos on lack l, so XORing a into the rows i < pos
+  that hold l moves no pivot and gives the child's RREF, a at row pos.
+  Column l stops being free: row i < pos has g_i less its bit x_i =
+  e - z_i, at l, and if that is set, a's bits above l, h << x_i; row pos
+  has h; later rows keep g_i, the first with l + 1 as its `off` term's
+  lower bound. Each row's bits fill their own field, so the rank is
+  base + (fixed ^ h * times), all set by U and e (_child_count).
 
 The codim-(k-1) scan also yields its own drop flags, so a profile scans
 co-dimensions 1..k_max-1 once each and reads co-dimension 1 off N.
@@ -129,6 +139,7 @@ co-dimensions 1..k_max-1 once each and reads co-dimension 1 off N.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -149,7 +160,7 @@ from .subspaces import (
     AffineSubspace,
     LinearSubspace,
     _canonical_forms,
-    _rank,
+    _rank_table,
     codim_unrank,
     count_codim,
     restrict,
@@ -171,6 +182,14 @@ def _int_degree(f: ANF) -> int:
     if d is NEG_INF:
         raise ZeroFunctionError("the zero function has no degree-drop spaces")
     return int(d)
+
+
+def _index(name: str, value) -> int:
+    """value by operator.index, else an EnumerationRangeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise EnumerationRangeError(f"{name} must be an int, got {type(value).__name__} {value!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -431,86 +450,85 @@ def _meeting(n: int, k: int, d: int) -> int:
     return count_codim(n, k) - (count_codim(n - d, k) << (k * d))
 
 
-def _child_count(forms: np.ndarray, n: int, normals: Sequence[int]) -> int:
-    """Number of distinct codim-(j+1) spaces S inside the codim-j spaces U
-    with RREF annihilators `forms` (an int64 array, one row of j per U, in
-    pivot order) whose annihilator A_S misses the span N of `normals`.
+@lru_cache(maxsize=None)
+def _child_tables(n: int, j: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables for codim-j parents U (_child_count), by U's pivot
+    set (row, canonical order) and e (column): first ranks, digit offsets,
+    widths and pivots; base, 2**(row pos's shift), and per row of U its
+    child shift and 2**x_i - 1 (-1 from row pos on); e and h by t - 1."""
+    f, k, c, e = n - j, j + 1, np.arange(j + 1), np.arange(n - j)[:, None]
+    q = np.array(list(itertools.combinations(range(n), j)), dtype=np.int64).reshape(-1, 1, j)
+    z = q - np.arange(j)
+    size = 1 << (f - z).sum(axis=2)[:, 0]
+    before = e >= z
+    pos = before.sum(axis=2, keepdims=True)
+    # the child's pivots in order: l = e + pos at row pos, U's row i at i + (i >= pos)
+    piv = np.where(c == pos, e + pos, np.take_along_axis(q, np.minimum(c - (c > pos), j - 1), axis=2))
+    slots = f - 1 - piv + c
+    shift = np.cumsum(slots, axis=2) - slots
+    lo = np.concatenate([np.zeros_like(pos), piv[..., :-1] + 1], axis=2)
+    t = np.arange(1, 1 << f)
+    et = np.bitwise_count((t & -t) - 1)
+    out = (
+        np.cumsum(size) - size, (np.cumsum(f - z, axis=2) - (f - z))[:, 0], (1 << f - z[:, 0]) - 1, q[:, 0],
+        (_rank_table(n, k)[k - c, lo, piv] << shift).sum(axis=2),
+        1 << np.take_along_axis(shift, pos, axis=2)[..., 0],
+        np.take_along_axis(shift, np.arange(j) + ~before, axis=2),
+        np.where(before, (1 << np.maximum(e - z, 0)) - 1, -1), et, t >> (et + 1),
+    )
+    for a in out:
+        a.setflags(write=False)
+    return out
 
-    A child of U adds one form a on U's free (non-pivot) columns, and A_S
-    misses N iff A_U does and a lies outside A_U + N (module docstring,
-    New.). Reduction modulo A_U, whose rows are RREF, fixes a, so a lies
-    in A_U + N iff it lies in the span E_U of N's basis reduced modulo
-    A_U, and A_U meets N iff those d vectors are dependent: such a U is
-    dropped. For the others, reduction modulo E_U is linear, so applied to
-    every a at once it leaves 0 exactly at the a's in E_U, which are
-    dropped too.
 
-    Reducing U's rows that carry a's lowest bit l by a puts the child in
-    RREF. Such a row's pivot lies below l, and so below all of a, so no
-    pivot moves, and a takes its place in the pivot order after U's pivots
-    below l. The child's rank in the canonical order (subspaces._rank) is
-    its key. The ranks are marked in a boolean array of [n j+1]_2 bytes
-    when that is at most _SEEN_BYTES, and sorted otherwise.
-    """
-    if not len(forms):
-        return 0
-    j, d = forms.shape[1], len(normals)
-    # N's basis modulo each A_U, eliminated on its lowest bits in place: a
-    # vector that reaches 0 shows that A_U meets N (no U meets N = 0)
-    basis = np.array(normals, dtype=np.int64).reshape(1, d).repeat(len(forms), axis=0)
-    if d:
-        basis = _reduced(basis, forms.T[:, :, None])
-        live = np.ones(len(forms), dtype=bool)
-        for i in range(d):
-            row = basis[:, i : i + 1].copy()
-            low = row & -row
-            live &= low[:, 0] != 0
-            basis ^= np.where(basis & low != 0, row, 0)
-            basis[:, i : i + 1] = row
-        forms, basis = forms[live], basis[live]
-        if not len(forms):
-            return 0
-    by_row = np.ascontiguousarray(forms.T)  # by_row[i]: every U's row i
-    cols = np.int64(1) << np.arange(n, dtype=np.int64)
-    pivots = np.bitwise_or.reduce(by_row & -by_row, axis=0)
-    isfree = (pivots[:, None] & cols) == 0
-    free = np.broadcast_to(cols, isfree.shape)[isfree].reshape(len(forms), n - j)
-    size = count_codim(n, j + 1)
-    seen = np.zeros(size, dtype=bool) if size <= _SEEN_BYTES else None
-    parts = []
-    step = max(1, _CHUNK >> (n - j))
-    for s in range(0, len(forms), step):
-        a = xor_points(free[s : s + step], dtype=np.int64)
-        parent, at = np.nonzero(_reduced(a, basis[s : s + step].T[:, :, None]))
-        a = a[parent, at]
-        parent += s
-        low = a & -a
-        u = by_row[:, parent]
-        u ^= np.where(u & low != 0, a, 0)
-        pos = np.bitwise_count(pivots[parent] & (low - 1))
-        # the child's row i is u's row i below pos, a at pos, u's i - 1 above
-        rows = np.empty((j + 1, len(a)), dtype=np.int64)
-        for i in range(j + 1):
-            rows[i] = np.where(pos > i, u[min(i, j - 1)], np.where(pos == i, a, u[max(i - 1, 0)]))
-        piv = np.bitwise_count((rows & -rows) - 1).astype(np.int64)
-        ranks = _rank(n, rows.T, piv.T)
-        if seen is None:
-            parts.append(_distinct(ranks))
-        else:
-            seen[ranks] = True
-    if seen is None:
-        return len(_distinct(np.concatenate(parts)))
+def _child_ranks(n: int, j: int, ranks: np.ndarray, normals: Sequence[int]) -> Iterator[np.ndarray]:
+    """Blocks of at most _CHUNK ranks of the children that _child_count
+    counts, repeated across U. E_U, N's basis reduced modulo A_U and
+    packed on U's free columns, is N's packed basis plus the rows
+    g_i << z_i whose pivot it holds: A_U meets N iff E_U is dependent,
+    and a lies in A_U + N iff t lies in E_U's span."""
+    starts, offs, widths, pivots, base, top, shifts, masks, et, ht = _child_tables(n, j)
+    at = np.searchsorted(starts, ranks, side="right") - 1
+    g = (ranks - starts[at])[:, None] >> offs[at] & widths[at]
+    span = np.zeros((len(at), 1), dtype=np.int64)
+    if normals:
+        q = pivots[at]
+        v = basis = np.array(normals, dtype=np.int64)
+        for i in reversed(range(j)):  # U's pivot columns dropped, top down
+            below = (np.int64(1) << q[:, i, None]) - 1
+            v = v & below | v >> 1 & ~below
+        for i in range(j):
+            v = v ^ (basis >> q[:, i, None] & 1) * (g[:, i, None] << (q[:, i, None] - i))
+        span = xor_points(v, dtype=np.int64)
+        live = (span[:, 1:] != 0).all(axis=1)
+        at, g, span = at[live], g[live], span[live]
+    for s in range(0, len(at), step := max(1, _CHUNK >> (n - j))):
+        u, w = at[s : s + step], g[s : s + step, None, :]
+        fixed = ((w & masks[u] | w >> 1 & ~masks[u]) << shifts[u]).sum(axis=2)
+        times = ((w & masks[u] + 1) << shifts[u]).sum(axis=2) + top[u]
+        keep = np.ones((len(u), 1 << (n - j)), dtype=bool)
+        keep[np.arange(len(u))[:, None], span[s : s + step]] = False
+        yield (base[u][:, et] + (fixed[:, et] ^ ht * times[:, et]))[keep[:, 1:]]
+
+
+def _child_count(n: int, j: int, ranks: np.ndarray, normals: Sequence[int]) -> int:
+    """Number of distinct codim-(j+1) spaces inside the codim-j drops U of
+    ranks `ranks` whose annihilator misses the span N of `normals`, marked
+    in a boolean array of [n j+1]_2 bytes when that is at most _SEEN_BYTES
+    and sorted otherwise. No child is built: the child of a form whose bits
+    on U's free columns are t = 2**e (2h + 1) has rank base + (fixed ^ h *
+    times). base sums the `off` terms at the child's row shifts; fixed, U's
+    free bits g_i less bit x_i = e - z_i in each row i before a's row pos;
+    times, 2**x_i in each such row that holds it and 1 at row pos. All
+    three are set by U and e (module docstring, New., for the proof)."""
+    size = count_codim(n, j + 1) if len(ranks) else 0
+    blocks = _child_ranks(n, j, ranks, normals) if size else ()
+    if size > _SEEN_BYTES:
+        return len(_distinct(np.concatenate([np.zeros(0, dtype=np.int64), *map(_distinct, blocks)])))
+    seen = np.zeros(size, dtype=bool)
+    for block in blocks:
+        seen[block] = True
     return int(np.count_nonzero(seen))
-
-
-def _reduced(x: np.ndarray, basis: Iterable) -> np.ndarray:
-    """x reduced modulo the span of `basis`, whose vectors each have a pivot,
-    their lowest set bit, that no other of them holds (as in an RREF basis):
-    each added where x holds its pivot. The vectors may be ints or arrays
-    that broadcast against x."""
-    for b in basis:
-        x = x ^ np.where(x & (b & -b) != 0, b, 0)
-    return x
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -539,6 +557,7 @@ def restriction_degree(f: ANF, space: AffineSubspace) -> Degree:
 
 def enumerate_degree_drop(f: ANF, k: int) -> Iterator[LinearSubspace]:
     """Degree-drop linear subspaces of co-dimension k, canonical order."""
+    k = _index("k", k)
     for start, dd, _ in _drop_chunks(f, k):
         for rows in codim_unrank(f.n, k, start + np.flatnonzero(dd)).tolist():
             yield LinearSubspace(f.n, tuple(rows))
@@ -547,6 +566,7 @@ def enumerate_degree_drop(f: ANF, k: int) -> Iterator[LinearSubspace]:
 def degree_drop_count(f: ANF, k: int) -> int:
     """Number of degree-drop linear subspaces of co-dimension k, lifted from
     the codim-(k-1) restrictions."""
+    k = _index("k", k)
     return _lifted_count(sum(int(c.sum()) for _, _, c in _lifted(f, k)), k)
 
 
@@ -554,6 +574,7 @@ def has_degree_drop_space(f: ANF, k: int) -> bool:
     """True iff some linear subspace of co-dimension k is degree-drop, i.e.
     some codim-(k-1) restriction has a nonzero normal kernel. At k = 1 that
     restriction is f itself, so the normal span of its top part answers."""
+    k = _index("k", k)
     if k == 1 <= f.n:
         return bool(hyperplane_normal_basis(f.n, _top(f)))
     return any(c.any() for _, _, c in _lifted(f, k, ramp=True))
@@ -613,25 +634,24 @@ def profile(f: ANF, k_max: Optional[int] = None) -> DegreeDropProfile:
     r = _int_degree(f)
     if k_max is None:
         k_max = max(0, min(3, f.n - r))
-    elif k_max < 1:
+    elif (k_max := _index("k_max", k_max)) < 1:
         raise EnumerationRangeError(f"k_max must be >= 1, got {k_max}")
     normals = hyperplane_normal_basis(f.n, _top(f))
     d = len(normals)
     rows = [ProfileRow(1, (1 << d) - 1, (1 << d) - 1)] if k_max else []
     for k in range(2, k_max + 1):
-        parts = []
-        total = 0
+        parts, total = [], 0
         for start, dd, c in _lifted(f, k):
             parts.append(start + np.flatnonzero(dd))
             total += int(c.sum())
-        drops = codim_unrank(f.n, k - 1, np.concatenate(parts))
+        drops = np.concatenate(parts)
         if len(drops) != rows[-1].count:
             raise InvariantViolationError(
                 f"the codim-{k - 1} scan finds {len(drops)} drops, the row above"
                 f" {rows[-1].count}"
             )
         count = _lifted_count(total, k)
-        inside = _meeting(f.n, k, d) + _child_count(drops, f.n, normals)
+        inside = _meeting(f.n, k, d) + (k > 2 and _child_count(f.n, k - 1, drops, normals))
         rows.append(ProfileRow(k, count, count - inside))
     return DegreeDropProfile(f.n, r, tuple(rows))
 
@@ -814,7 +834,7 @@ def check_dd_fast_duality(f: ANF, k_max: int = 1, threads: int = 1) -> DualityRe
     <= n. `threads` has no effect; it stays while perfbench passes it."""
     if not f or not f.is_homogeneous():
         raise NotHomogeneousError("duality check requires a nonzero homogeneous function")
-    if not 1 <= k_max <= f.n:
+    if not 1 <= (k_max := _index("k_max", k_max)) <= f.n:
         raise EnumerationRangeError(f"k_max must lie in 1..n={f.n}, got {k_max}")
     r = int(f.degree())
     comp = f.complement()

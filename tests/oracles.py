@@ -7,8 +7,10 @@ force. The two numpy routines build whole ANF rows of restrictions, batched
 so that whole scans at n = 9..12 can be checked: gathered_rows by the
 truth-table gather and Moebius transform, and substituted_rows by one-pivot
 substitution on full rows, where the scan engine carries only the weight-r
-part. Nothing is shared with the code under test; monomials are plain integer masks with bit i-1 standing for
-variable x_i.
+part. child_ranks builds the `new` step's children as RREF rows and names
+them with the package's codim_rank, which test_subspaces checks against
+iter_rref_forms here; nothing else is shared with the code under test.
+Monomials are plain integer masks with bit i-1 standing for variable x_i.
 """
 
 from __future__ import annotations
@@ -217,6 +219,32 @@ def drop_profile(n: int, monomials: Sequence[int], k_max: int) -> list[tuple[int
         rows.append((k, len(drops), new_count(drops, prev)))
         prev = drops
     return rows
+
+
+def child_ranks(forms: np.ndarray, n: int, normals: Sequence[int]) -> set[int]:
+    """The ranks of the codim-(j+1) spaces inside the codim-j spaces U with
+    RREF annihilators `forms` (one row of j per U) whose annihilator misses
+    the span N of `normals`. A child adds a form a on U's free columns to
+    U's annihilator A_U; the spans are tested as sets: A_U must miss N and
+    a must lie outside A_U + N. XORing a into the rows of U that carry its
+    lowest bit puts the child in RREF, and the package's codim_rank, which
+    checks that, names it."""
+    from degstab.subspaces import codim_rank
+
+    out: set[int] = set()
+    for rows in np.asarray(forms, dtype=np.int64).tolist():
+        if span_set(rows) & span_set(normals):
+            continue
+        a = np.zeros(1, dtype=np.int64)
+        for c in range(n):
+            if all(r & -r != 1 << c for r in rows):
+                a = np.concatenate([a, a | 1 << c])
+        a = a[~np.isin(a, [0, *span_set([*rows, *normals])])]
+        if len(a):
+            low = a & -a
+            kids = [np.where(r & low != 0, r ^ a, r) for r in rows] + [a]
+            out |= set(codim_rank(n, np.stack(kids, axis=1)).tolist())
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,7 @@ from degstab.errors import (
     ZeroFunctionError,
 )
 from degstab.report import build_report
-from degstab.subspaces import LinearSubspace, codim_unrank, count_codim
+from degstab.subspaces import LinearSubspace, codim_rank, codim_unrank, count_codim
 from degstab.f2 import random_invertible, rref_rows
 from helpers import random_degree, random_homogeneous, random_nonconstant, sparse_homogeneous
 
@@ -292,6 +292,11 @@ def test_profile_new_matches_the_containment_oracle():
         k_max = min(3, n)
         got = [(row.codim, row.count, row.new) for row in profile(f, k_max).rows]
         assert got == oracles.drop_profile(n, f.monomials(), k_max), f
+    # k_max = 4 at n = 6: the children of codim-3 drops
+    for r in (2, 3):
+        for f in (random_degree(rng, 6, r), sparse_homogeneous(rng, 6, r, 2)):
+            got = [(row.codim, row.count, row.new) for row in profile(f, 4).rows]
+            assert got == oracles.drop_profile(6, f.monomials(), 4), f
 
 
 def test_existence_agrees_with_the_count(monkeypatch):
@@ -527,6 +532,21 @@ def test_streamed_parents_follow_the_points_budget():
         assert peak < 16 << 20, (n, peak)
 
 
+def test_profile_expands_no_codim_1_drop(monkeypatch):
+    # at k = 2 each codim-1 drop's annihilator is its normal, in N, so the
+    # spaces meeting N are the whole union and no drop is decoded or expanded
+    f = ANF.parse("123", 5)
+    expected = oracles.drop_profile(5, f.monomials(), 2)
+
+    def refuse(*args):
+        raise AssertionError("the new step ran at k = 2")
+
+    monkeypatch.setattr(degreedrop, "_child_count", refuse)
+    monkeypatch.setattr(degreedrop, "codim_unrank", refuse)
+    got = [(row.codim, row.count, row.new) for row in profile(f, 2).rows]
+    assert got == expected and expected[0][1] == 7
+
+
 def test_child_count_marks_and_sorts_alike(monkeypatch):
     rng = random.Random(23)
     funcs = [random_degree(rng, n, r) for n, r in ((6, 2), (7, 3), (8, 3))]
@@ -534,12 +554,46 @@ def test_child_count_marks_and_sorts_alike(monkeypatch):
     # a normal span of dimension 1 whose codim-2 drops keep children
     spanned = ANF.from_monomials(7, [0b00111, 0b01101, 0b11010])
     normals = degreedrop.hyperplane_normal_basis(7, spanned.monomials())
-    drops = np.array([s.forms for s in enumerate_degree_drop(spanned, 2)])
-    assert len(normals) == 1 and degreedrop._child_count(drops, 7, normals) > 0
+    drops = codim_rank(7, np.array([s.forms for s in enumerate_degree_drop(spanned, 2)]))
+    assert len(normals) == 1 and degreedrop._child_count(7, 2, drops, normals) > 0
     funcs.append(spanned)
-    marked = [profile(f, 3) for f in funcs]
+    deep = random_degree(rng, 7, 2)  # k_max = 4: the children of codim-3 drops
+    marked = [profile(f, 3) for f in funcs] + [profile(deep, 4)]
     monkeypatch.setattr(degreedrop, "_SEEN_BYTES", 0)
-    assert [profile(f, 3) for f in funcs] == marked
+    assert [profile(f, 3) for f in funcs] + [profile(deep, 4)] == marked
+
+
+def test_child_ranks_match_the_oracle(monkeypatch):
+    # the closed-form ranks of the `new` step's children, as sets, against
+    # RREF rows ranked by codim_rank: random parents, parents whose
+    # annihilator holds a normal, and none; counted by marks and by a sort
+    rng = random.Random(27)
+    cases = [(5, 2, [], ()), (9, 3, [], (0b11,))]
+    for _ in range(40):
+        n = rng.randint(3, 11)
+        j, d = rng.randint(1, min(4, n - 1)), rng.randint(0, min(3, n))
+        normals: list[int] = []
+        while len(normals) < d:
+            normals = oracles.independent_rows(normals + [rng.randrange(1, 1 << n)])
+        ranks = rng.sample(range(count_codim(n, j)), min(12, count_codim(n, j)))
+        for v in normals[: rng.randint(0, d)]:
+            rows = [v]
+            while len(rows) < j:
+                rows = oracles.independent_rows(rows + [rng.randrange(1, 1 << n)])
+            ranks.append(int(codim_rank(n, LinearSubspace.from_forms(n, rows).forms)))
+        cases.append((n, j, ranks, tuple(normals)))
+    kept = 0
+    for n, j, ranks, normals in cases:
+        ranks = np.unique(np.array(ranks, dtype=np.int64))
+        expected = oracles.child_ranks(codim_unrank(n, j, ranks), n, normals)
+        blocks = list(degreedrop._child_ranks(n, j, ranks, normals))
+        assert set(np.concatenate([np.zeros(0, dtype=np.int64), *blocks]).tolist()) == expected
+        assert all(len(b) <= degreedrop._CHUNK for b in blocks)
+        for seen_bytes in (1 << 24, 0):
+            monkeypatch.setattr(degreedrop, "_SEEN_BYTES", seen_bytes)
+            assert degreedrop._child_count(n, j, ranks, normals) == len(expected), (n, j)
+        kept += bool(expected)
+    assert kept > 30
 
 
 def test_lift_rejects_out_of_range_codims():
@@ -549,6 +603,25 @@ def test_lift_rejects_out_of_range_codims():
                       check_dd_fast_duality):
             with pytest.raises(EnumerationRangeError, match=f"1..n=5, got {k}"):
                 check(f, k)
+
+
+def test_codims_must_be_integers():
+    f = ANF.parse("123+456", 7)
+    assert has_degree_drop_space(f, np.int64(2)) == has_degree_drop_space(f, 2)
+    assert degree_drop_count(f, np.int64(2)) == degree_drop_count(f, 2)
+    assert profile(f, np.int64(3)) == profile(f, 3)
+    calls = [
+        (degree_drop_count, 2.0, "k"),
+        (has_degree_drop_space, np.float64(1.0), "k"),
+        (k_membership, "2", "k"),
+        (lambda g, k: list(enumerate_degree_drop(g, k)), 1.0, "k"),
+        (profile, 2.0, "k_max"),
+        (profile, "3", "k_max"),
+        (check_dd_fast_duality, 2.0, "k_max"),
+    ]
+    for call, k, name in calls:
+        with pytest.raises(EnumerationRangeError, match=f"{name} must be an int, got {type(k).__name__}"):
+            call(f, k)
 
 
 def test_enumeration_rejects_out_of_range_codims():

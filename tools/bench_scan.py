@@ -46,14 +46,22 @@ It prints one JSON object with seven keys:
   new_step  profile's `new` step over the ten NEW_STEP_* functions, one
           sample per --repeat (after one warm-up pass): the seconds of a
           pass of degreedrop.profile(f, 3) over all ten (pass_s), of the
-          degreedrop._child_count calls inside it (child_count_s), and of
-          each NEW_STEP_CLOCKS name that the tree's degreedrop module
-          holds: subspaces.codim_rank (codim_rank_s, in trees that rank the
-          children through it), subspaces._rank (rank_s, the unchecked rank
-          arithmetic), hyperplane_normal_basis (hyperplane_normal_basis_s,
-          0 where profile does not read the normal span) and
-          subspaces.codim_unrank (codim_unrank_s, in trees that decode a
-          scan's drops by rank)
+          degreedrop._child_count calls inside it (child_count_s) and
+          their number (child_count_calls), and the seconds in each
+          NEW_STEP_CLOCKS name that the tree's degreedrop
+          module holds: _child_ranks (child_ranks_s, the closed-form ranks,
+          timed per block it yields), _child_tables (child_tables_s, its
+          cached tables), subspaces.codim_rank (codim_rank_s, in trees that
+          rank the children through it), subspaces._rank (rank_s, in trees
+          that rank child RREF rows), hyperplane_normal_basis
+          (hyperplane_normal_basis_s, 0 where profile does not read the
+          normal span) and subspaces.codim_unrank (codim_unrank_s, in trees
+          that decode a scan's drops before the step); then, outside
+          pass_s, a profile(f, 3) of each NEW_STEP_SMALL cubic, whose
+          codim-2 drops number 1 to 7 and codim-1 drops 0: the mean
+          microseconds of its _child_count calls with 1 to 7 drops
+          (small_call_us, a call's drops read as the length of its first
+          array argument, forms or ranks) and their number (small_calls)
   spaces  for N in SPACE_VARS and each call in SPACE_CALLS, one sample per
           --repeat: wall_s and peak_rss_mb as for analyze, of a fresh
           interpreter that imports degstab, builds x1 and x1*...*xN, and
@@ -68,7 +76,8 @@ It prints one JSON object with seven keys:
 The stages call private scan functions that the tree's degreedrop module has
 had since the substitution route (08695fa), passing m to the kernel where
 its signature names it; new_step rebinds each of NEW_STEP_CLOCKS that the
-module has (_child_count since subspaces were ranked, c01b6a0); the
+module has (_child_count since subspaces were ranked, c01b6a0; _child_ranks
+and _child_tables since the step ranks children in closed form); the
 kernels, spaces and enumerate keys call only public functions, and analyze
 only the CLI; so one copy of this file measures those older trees too.
 """
@@ -85,6 +94,8 @@ import sys
 import time
 from collections import deque
 from itertools import combinations
+
+import numpy as np
 
 from degstab import degreedrop, invariants, subspaces
 from degstab.anf import ANF
@@ -120,7 +131,14 @@ RESTRICT = ("_substituted", "_gathered")
 NEW_STEP_COMPLEMENTS = ("f13", "f14", "f17", "f20", "f27")
 NEW_STEP_CUBICS = ("f2", "f3", "f7", "f12", "f30")
 # the calls new_step clocks inside a profile pass, where degreedrop has them
-NEW_STEP_CLOCKS = ("_child_count", "codim_rank", "_rank", "hyperplane_normal_basis", "codim_unrank")
+NEW_STEP_CLOCKS = (
+    "_child_count", "_child_ranks", "_child_tables", "codim_rank", "_rank",
+    "hyperplane_normal_basis", "codim_unrank",
+)
+# catalog cubics whose profile(f, 3) expands 1 to 7 codim-2 drops (7, 3, 1,
+# 7, 1, 7 and 2) and no codim-1 drop: light items, as catalog-n8's median
+NEW_STEP_SMALL = ("f9", "f10", "f11", "f13", "f14", "f16", "f29")
+SMALL_CALL_DROPS = 7
 # variables of the single monomial that the analyze key reports on
 ANALYZE_VARS = (16, 20, 22)
 # the spaces key: variables, and the calls on x1 and on full = x1*...*xN,
@@ -193,12 +211,44 @@ def stage_times(n: int, k: int, text: str) -> dict[str, float]:
 
 
 def _clocked(fn, key: str, into: dict):
+    """fn, its seconds added to into[key]; a generator function's per item."""
+    if inspect.isgeneratorfunction(fn):
+        def items(*args):
+            it = fn(*args)
+            while True:
+                t0 = time.perf_counter()
+                item = next(it, None)
+                into[key] += time.perf_counter() - t0
+                if item is None:
+                    return
+                yield item
+
+        return items
+
     def wrapper(*args):
         t0 = time.perf_counter()
         try:
             return fn(*args)
         finally:
             into[key] += time.perf_counter() - t0
+
+    return wrapper
+
+
+def _sized(fn, into: dict):
+    """_child_count's fn, its calls counted in into, and those with 1 to
+    SMALL_CALL_DROPS drops (the length of its first array argument) and
+    their microseconds."""
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            drops = next(len(a) for a in args if isinstance(a, np.ndarray))
+            into["child_count_calls"] += 1
+            if 1 <= drops <= SMALL_CALL_DROPS:
+                into["small_calls"] += 1
+                into["small_call_us"] += (time.perf_counter() - t0) * 1e6
 
     return wrapper
 
@@ -215,14 +265,23 @@ def new_step_times(repeat: int) -> dict[str, list[float]]:
     saved = {name: getattr(degreedrop, name) for name in clocks}
     for name, fn in saved.items():
         setattr(degreedrop, name, _clocked(fn, clocks[name], spent))
+    degreedrop._child_count = _sized(degreedrop._child_count, spent)
+    small = [representative(c).anf() for c in NEW_STEP_SMALL]
     samples = []
     try:
         for _ in range(repeat + 1):
             spent.update(dict.fromkeys(clocks.values(), 0.0))
+            spent.update(child_count_calls=0, small_calls=0, small_call_us=0.0)
             t0 = time.perf_counter()
             for f in funcs:
                 degreedrop.profile(f, 3)
-            samples.append({"pass_s": time.perf_counter() - t0, **spent})
+            sample = {"pass_s": time.perf_counter() - t0, **spent}
+            spent.update(small_calls=0, small_call_us=0.0)  # the pass's own are dropped
+            for f in small:
+                degreedrop.profile(f, 3)
+            sample["small_calls"] = spent["small_calls"]
+            sample["small_call_us"] = spent["small_call_us"] / max(1, spent["small_calls"])
+            samples.append(sample)
     finally:
         for name, fn in saved.items():
             setattr(degreedrop, name, fn)
