@@ -142,7 +142,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -450,65 +450,106 @@ def _meeting(n: int, k: int, d: int) -> int:
     return count_codim(n, k) - (count_codim(n - d, k) << (k * d))
 
 
+class _ChildTables(NamedTuple):
+    """_child_ranks' tables for codim-j parents U on n variables, f = n - j.
+    By U's pivot set, in canonical order: its first rank (starts), and per
+    row i of U the offset and width mask of g_i in U's rank and the pivot
+    q_i. By pivot set and e: base, 2**(row pos's shift in the child) (top),
+    and per row i of U its shift in the child and 2**x_i - 1 before row pos,
+    -1 from it on (masks). By t - 1: e and h."""
+
+    starts: np.ndarray
+    offsets: np.ndarray
+    widths: np.ndarray
+    pivots: np.ndarray
+    base: np.ndarray
+    top: np.ndarray
+    shifts: np.ndarray
+    masks: np.ndarray
+    e: np.ndarray
+    h: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _child_tables(n: int, j: int) -> tuple[np.ndarray, ...]:
-    """Read-only tables for codim-j parents U (_child_count), by U's pivot
-    set (row, canonical order) and e (column): first ranks, digit offsets,
-    widths and pivots; base, 2**(row pos's shift), and per row of U its
-    child shift and 2**x_i - 1 (-1 from row pos on); e and h by t - 1."""
-    f, k, c, e = n - j, j + 1, np.arange(j + 1), np.arange(n - j)[:, None]
+def _child_tables(n: int, j: int) -> _ChildTables:
+    """The _ChildTables of (n, j), read-only (module docstring, New.)."""
+    f, rows = n - j, np.arange(j + 1)
+    e = np.arange(f)[:, None]
     q = np.array(list(itertools.combinations(range(n), j)), dtype=np.int64).reshape(-1, 1, j)
-    z = q - np.arange(j)
-    size = 1 << (f - z).sum(axis=2)[:, 0]
-    before = e >= z
+    z = q - np.arange(j)  # free columns below each pivot
+    width = f - z  # free columns above each pivot, g_i's bits
+    size = 1 << width.sum(axis=2)[:, 0]
+    before = e >= z  # row i lies before a's row pos
     pos = before.sum(axis=2, keepdims=True)
     # the child's pivots in order: l = e + pos at row pos, U's row i at i + (i >= pos)
-    piv = np.where(c == pos, e + pos, np.take_along_axis(q, np.minimum(c - (c > pos), j - 1), axis=2))
-    slots = f - 1 - piv + c
+    from_u = np.take_along_axis(q, np.minimum(rows - (rows > pos), j - 1), axis=2)
+    piv = np.where(rows == pos, e + pos, from_u)
+    slots = f - 1 - piv + rows
     shift = np.cumsum(slots, axis=2) - slots
     lo = np.concatenate([np.zeros_like(pos), piv[..., :-1] + 1], axis=2)
     t = np.arange(1, 1 << f)
     et = np.bitwise_count((t & -t) - 1)
-    out = (
-        np.cumsum(size) - size, (np.cumsum(f - z, axis=2) - (f - z))[:, 0], (1 << f - z[:, 0]) - 1, q[:, 0],
-        (_rank_table(n, k)[k - c, lo, piv] << shift).sum(axis=2),
-        1 << np.take_along_axis(shift, pos, axis=2)[..., 0],
-        np.take_along_axis(shift, np.arange(j) + ~before, axis=2),
-        np.where(before, (1 << np.maximum(e - z, 0)) - 1, -1), et, t >> (et + 1),
+    tables = _ChildTables(
+        starts=np.cumsum(size) - size,
+        offsets=(np.cumsum(width, axis=2) - width)[:, 0],
+        widths=(1 << width[:, 0]) - 1,
+        pivots=q[:, 0],
+        base=(_rank_table(n, j + 1)[j + 1 - rows, lo, piv] << shift).sum(axis=2),
+        top=1 << np.take_along_axis(shift, pos, axis=2)[..., 0],
+        shifts=np.take_along_axis(shift, np.arange(j) + ~before, axis=2),
+        masks=np.where(before, (1 << np.maximum(e - z, 0)) - 1, -1),
+        e=et,
+        h=t >> (et + 1),
     )
-    for a in out:
+    for a in tables:
         a.setflags(write=False)
-    return out
+    return tables
 
 
 def _child_ranks(n: int, j: int, ranks: np.ndarray, normals: Sequence[int]) -> Iterator[np.ndarray]:
     """Blocks of at most _CHUNK ranks of the children that _child_count
-    counts, repeated across U. E_U, N's basis reduced modulo A_U and
-    packed on U's free columns, is N's packed basis plus the rows
-    g_i << z_i whose pivot it holds: A_U meets N iff E_U is dependent,
-    and a lies in A_U + N iff t lies in E_U's span."""
-    starts, offs, widths, pivots, base, top, shifts, masks, et, ht = _child_tables(n, j)
-    at = np.searchsorted(starts, ranks, side="right") - 1
-    g = (ranks - starts[at])[:, None] >> offs[at] & widths[at]
-    span = np.zeros((len(at), 1), dtype=np.int64)
-    if normals:
-        q = pivots[at]
-        v = basis = np.array(normals, dtype=np.int64)
-        for i in reversed(range(j)):  # U's pivot columns dropped, top down
-            below = (np.int64(1) << q[:, i, None]) - 1
-            v = v & below | v >> 1 & ~below
-        for i in range(j):
-            v = v ^ (basis >> q[:, i, None] & 1) * (g[:, i, None] << (q[:, i, None] - i))
-        span = xor_points(v, dtype=np.int64)
-        live = (span[:, 1:] != 0).all(axis=1)
-        at, g, span = at[live], g[live], span[live]
-    for s in range(0, len(at), step := max(1, _CHUNK >> (n - j))):
-        u, w = at[s : s + step], g[s : s + step, None, :]
-        fixed = ((w & masks[u] | w >> 1 & ~masks[u]) << shifts[u]).sum(axis=2)
-        times = ((w & masks[u] + 1) << shifts[u]).sum(axis=2) + top[u]
-        keep = np.ones((len(u), 1 << (n - j)), dtype=bool)
-        keep[np.arange(len(u))[:, None], span[s : s + step]] = False
-        yield (base[u][:, et] + (fixed[:, et] ^ ht * times[:, et]))[keep[:, 1:]]
+    counts, repeated across U; the drops are read _CHUNK at a time."""
+    tab = _child_tables(n, j)
+    step = max(1, _CHUNK >> (n - j))
+    for s in range(0, len(ranks), _CHUNK):
+        at, g, span = _parents(tab, j, ranks[s : s + _CHUNK], normals)
+        for b in range(0, len(at), step):
+            u, w = at[b : b + step], g[b : b + step, None, :]
+            masks, shifts = tab.masks[u], tab.shifts[u]
+            fixed = ((w & masks | w >> 1 & ~masks) << shifts).sum(axis=2)
+            times = ((w & masks + 1) << shifts).sum(axis=2) + tab.top[u]
+            keep = np.ones((len(u), 1 << (n - j)), dtype=bool)
+            keep[np.arange(len(u))[:, None], xor_points(span[b : b + step], dtype=np.int64)] = False
+            children = tab.base[u][:, tab.e] + (fixed[:, tab.e] ^ tab.h * times[:, tab.e])
+            yield children[keep[:, 1:]]
+
+
+def _parents(tab: _ChildTables, j: int, ranks: np.ndarray, normals: Sequence[int]):
+    """(pivot set, free bits g_i, basis of E_U) of the drops U of ranks
+    `ranks` whose annihilator misses N. E_U, N's basis reduced modulo A_U
+    and packed on U's free columns, is N's packed basis plus the rows
+    g_i << z_i whose pivot it holds: A_U meets N iff E_U is dependent, and
+    a lies in A_U + N iff t lies in E_U's span."""
+    at = np.searchsorted(tab.starts, ranks, side="right") - 1
+    g = (ranks - tab.starts[at])[:, None] >> tab.offsets[at] & tab.widths[at]
+    if not normals:  # every U misses N = 0; skips 2j array passes per call
+        return at, g, np.zeros((len(at), 0), dtype=np.int64)
+    q = tab.pivots[at]
+    v = basis = np.array(normals, dtype=np.int64)
+    for i in reversed(range(j)):  # U's pivot columns dropped, top down
+        below = (np.int64(1) << q[:, i, None]) - 1
+        v = v & below | v >> 1 & ~below
+    for i in range(j):
+        v = v ^ (basis >> q[:, i, None] & 1) * (g[:, i, None] << (q[:, i, None] - i))
+    # E_U eliminated in place on lowest bits in turn, which keeps its span:
+    # a dependent basis reaches 0
+    live = np.ones(len(at), dtype=bool)
+    for i in range(len(normals)):
+        row, rest = v[:, i : i + 1], v[:, i + 1 :]
+        low = row & -row
+        live &= low[:, 0] != 0
+        rest ^= np.where(rest & low != 0, row, 0)
+    return at[live], g[live], v[live]
 
 
 def _child_count(n: int, j: int, ranks: np.ndarray, normals: Sequence[int]) -> int:
@@ -640,7 +681,8 @@ def profile(f: ANF, k_max: Optional[int] = None) -> DegreeDropProfile:
     d = len(normals)
     rows = [ProfileRow(1, (1 << d) - 1, (1 << d) - 1)] if k_max else []
     for k in range(2, k_max + 1):
-        parts, total = [], 0
+        parts = []
+        total = 0
         for start, dd, c in _lifted(f, k):
             parts.append(start + np.flatnonzero(dd))
             total += int(c.sum())
@@ -651,7 +693,9 @@ def profile(f: ANF, k_max: Optional[int] = None) -> DegreeDropProfile:
                 f" {rows[-1].count}"
             )
         count = _lifted_count(total, k)
-        inside = _meeting(f.n, k, d) + (k > 2 and _child_count(f.n, k - 1, drops, normals))
+        inside = _meeting(f.n, k, d)
+        if k > 2:  # at k = 2 every drop's annihilator lies in N
+            inside += _child_count(f.n, k - 1, drops, normals)
         rows.append(ProfileRow(k, count, count - inside))
     return DegreeDropProfile(f.n, r, tuple(rows))
 

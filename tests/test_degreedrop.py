@@ -596,6 +596,28 @@ def test_child_ranks_match_the_oracle(monkeypatch):
     assert kept > 30
 
 
+def test_child_ranks_hold_one_block_of_spans():
+    # 20,000 codim-2 parents at n = 11 and d = 7: the parents are read
+    # _CHUNK at a time and the span of each, 2**7 int64s, is built per
+    # block of _CHUNK children, so the traced peak is about 3 MB, not the
+    # 38 MB of every parent's span at once
+    n, j, d = 11, 2, 7
+    normals = tuple(1 << i for i in range(d))
+    ranks = np.unique(np.random.default_rng(5).integers(0, count_codim(n, j), 20_000))
+    u, w = codim_unrank(n, j, ranks).T
+    # A_U meets N = <x1..x7> iff a nonzero vector of A_U lies below bit 7
+    meets = (u >> d == 0) | (w >> d == 0) | ((u ^ w) >> d == 0)
+    degreedrop._child_tables(n, j)
+    tracemalloc.start()
+    try:
+        total = sum(len(block) for block in degreedrop._child_ranks(n, j, ranks, normals))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == np.count_nonzero(~meets) * ((1 << (n - j)) - (1 << d)) > 0
+    assert peak < 8 << 20, peak
+
+
 def test_lift_rejects_out_of_range_codims():
     f = ANF.parse("123", 5)
     for k in (0, 6):
